@@ -26,7 +26,7 @@ import os
 
 import pytest
 
-from repro.bench import extension_power_arbiter, use_runner
+from repro.bench import run_plan, use_runner
 from repro.bench.experiments import ARBITER_CAP_PER_NODE_W, plan_ext_arbiter
 from repro.runner import SweepStats, execute_cell, resolve_jobs
 
@@ -64,7 +64,7 @@ def test_ext_arbiter_policies(report):
     headers, rows = report(
         f"ext_arbiter{SUFFIX}",
         "Extension - cluster power-budget arbiter (two co-scheduled jobs)",
-        extension_power_arbiter,
+        run_plan, "ext-arbiter",
         **SCENARIO,
     )
     by_scheme = {r[0]: r for r in rows}

@@ -15,7 +15,7 @@ import os
 
 import pytest
 
-from repro.bench import extension_faults_governor, use_runner
+from repro.bench import run_plan, use_runner
 from repro.runner import SweepStats, resolve_jobs
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
@@ -40,7 +40,7 @@ def test_ext_faults_governor(report):
     headers, rows = report(
         f"ext_faults_governor{SUFFIX}",
         "Extension - governor policies under fault injection",
-        extension_faults_governor,
+        run_plan, "ext-faults",
         sizes=sizes,
         iterations=2 if QUICK else 3,
     )
@@ -72,6 +72,6 @@ def test_ext_faults_determinism():
     """Two identical sweeps under the same seed are byte-for-byte equal
     (every float in every row — events, energy, drops)."""
     kwargs = dict(sizes=(64 << 10,), iterations=1 if QUICK else 2, seed=11)
-    _, rows_a, _ = extension_faults_governor(**kwargs)
-    _, rows_b, _ = extension_faults_governor(**kwargs)
+    _, rows_a, _ = run_plan("ext-faults", **kwargs)
+    _, rows_b, _ = run_plan("ext-faults", **kwargs)
     assert rows_a == rows_b

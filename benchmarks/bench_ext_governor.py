@@ -12,12 +12,7 @@ import os
 
 import pytest
 
-from repro.bench import (
-    extension_governor_alltoall,
-    extension_governor_apps,
-    extension_governor_mixed,
-    use_runner,
-)
+from repro.bench import run_plan, use_runner
 from repro.runner import SweepStats, resolve_jobs
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
@@ -41,7 +36,7 @@ def test_ext_governor_alltoall(report):
     headers, rows = report(
         f"ext_governor_alltoall{SUFFIX}",
         "Extension - online governor vs static schemes (OSU alltoall)",
-        extension_governor_alltoall,
+        run_plan, "ext-governor-alltoall",
         sizes=sizes,
         iterations=2 if QUICK else 3,
     )
@@ -61,7 +56,7 @@ def test_ext_governor_mixed(report):
     headers, rows = report(
         f"ext_governor_mixed{SUFFIX}",
         "Extension - governor vs ADAPTIVE (mixed-size workload)",
-        extension_governor_mixed,
+        run_plan, "ext-governor-mixed",
         sizes=sizes,
     )
     by_scheme = {r[0]: r for r in rows}
@@ -78,7 +73,7 @@ def test_ext_governor_apps(report):
     headers, rows = report(
         f"ext_governor_apps{SUFFIX}",
         "Extension - governor on application traces (CPMD / NAS)",
-        extension_governor_apps,
+        run_plan, "ext-governor-apps",
         include_nas=not QUICK,
     )
     for app in {r[0] for r in rows}:

@@ -1,28 +1,26 @@
-"""Experiment implementations for every table and figure in the paper.
+"""Experiment declarations for every table and figure in the paper.
 
-Each ``fig*``/``table*`` function runs the relevant simulations and
-returns ``(headers, rows, notes)`` ready for
-:func:`repro.bench.report.render_experiment`.  The ``benchmarks/``
-directory wraps each one in a pytest-benchmark target; EXPERIMENTS.md
-records the outcomes.
-
-Cell decomposition
-------------------
-Every experiment is expressed as a :class:`SweepPlan`: a ``plan_*``
-function produces the list of independent
+Each experiment is declared exactly once, as a ``plan_*`` producer
+returning a :class:`SweepPlan`: the list of independent
 :class:`~repro.runner.cells.SweepCell` simulation points plus an
-``assemble`` closure that folds their results back into the table rows.
-The public experiment functions keep their exact signatures and run the
-plan through :func:`repro.runner.run_cells`, so they inherit parallel
-execution and result caching whenever the caller configures them (see
-:func:`use_runner`; the CLI's ``--jobs`` / ``--cache-dir`` flags do).
-:data:`CELL_PLANS` maps CLI experiment names to default plan producers.
+``assemble`` closure that folds their results into the final
+``(headers, rows, notes)`` table, ready for
+:func:`repro.bench.report.render_experiment`.  The producer's docstring
+is the description ``repro experiments`` prints.
+
+:data:`CELL_PLANS` maps experiment names to producers, and
+:func:`run_plan` (``run_plan("fig7a", sizes=...)``) expands one and runs
+its cells through :func:`repro.runner.run_cells`, so every experiment
+inherits parallel execution and result caching whenever the caller
+configures them (see :func:`use_runner`; the CLI's ``--jobs`` /
+``--cache-dir`` flags do).  The ``benchmarks/`` directory wraps each run
+in a pytest-benchmark target; EXPERIMENTS.md records the outcomes.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..apps import (
@@ -134,17 +132,9 @@ class RunnerScope:
     #: True while a use_runner scope is live; report collection only
     #: happens then (library callers never accumulate unbounded lists).
     collect: bool = False
-    governor_reports: List[Dict[str, Any]] = None  # type: ignore[assignment]
-    fault_reports: List[Dict[str, Any]] = None  # type: ignore[assignment]
-    arbiter_reports: List[Dict[str, Any]] = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.governor_reports is None:
-            self.governor_reports = []
-        if self.fault_reports is None:
-            self.fault_reports = []
-        if self.arbiter_reports is None:
-            self.arbiter_reports = []
+    governor_reports: List[Dict[str, Any]] = field(default_factory=list)
+    fault_reports: List[Dict[str, Any]] = field(default_factory=list)
+    arbiter_reports: List[Dict[str, Any]] = field(default_factory=list)
 
 
 _RUNNER_SCOPE = RunnerScope()
@@ -250,6 +240,12 @@ def _run_plan(plan: SweepPlan):
     return plan.assemble(results)
 
 
+def run_plan(name: str, **kw):
+    """Run the :data:`CELL_PLANS` experiment ``name`` (producer keyword
+    arguments in ``kw``) and return its ``(headers, rows, notes)``."""
+    return _run_plan(CELL_PLANS[name](**kw))
+
+
 def _collective_cell(
     experiment: str,
     op: str,
@@ -287,6 +283,7 @@ def _collective_cell(
 # Figure 2
 # =====================================================================
 def plan_fig2a(sizes: Sequence[int] = FIG2A_SIZES, iterations: int = 1) -> SweepPlan:
+    """Fig 2(a): 32-process alltoall, 4-way vs 8-way vs eq-(1) estimate."""
     spec_4way = ClusterSpec.with_shape(nodes=8, sockets=2, cores_per_socket=2)
     spec_8way = ClusterSpec.with_shape(nodes=4, sockets=2, cores_per_socket=4)
     cells = []
@@ -325,13 +322,8 @@ def plan_fig2a(sizes: Sequence[int] = FIG2A_SIZES, iterations: int = 1) -> Sweep
     return SweepPlan(cells, assemble)
 
 
-def fig2a_alltoall_scaling(sizes: Sequence[int] = FIG2A_SIZES, iterations: int = 1):
-    """Fig 2(a): 32-process alltoall, 4-way vs 8-way vs eq-(1) estimate."""
-    return _run_plan(plan_fig2a(sizes, iterations))
-
-
 def _plan_phases(experiment: str, op: str, phase_key: str,
-                 sizes: Sequence[int], n_ranks: int = 64) -> SweepPlan:
+                 sizes: Sequence[int], notes: str, n_ranks: int = 64) -> SweepPlan:
     cells = [
         _collective_cell(experiment, op, nbytes, n_ranks) for nbytes in sizes
     ]
@@ -345,40 +337,33 @@ def _plan_phases(experiment: str, op: str, phase_key: str,
                  net / r.duration_s)
             )
         headers = ["Size", "Overall (us)", "Network phase (us)", "Net fraction"]
-        return headers, rows, ""
+        return headers, rows, notes
 
     return SweepPlan(cells, assemble)
 
 
 def plan_fig2b(sizes: Sequence[int] = FIG2B_SIZES) -> SweepPlan:
-    return _plan_phases("fig2b", "bcast", "bcast.network", sizes)
-
-
-def fig2b_bcast_phases(sizes: Sequence[int] = FIG2B_SIZES):
     """Fig 2(b): bcast total time vs its inter-leader network phase."""
-    headers, rows, _ = _run_plan(plan_fig2b(sizes))
-    notes = (
+    return _plan_phases(
+        "fig2b", "bcast", "bcast.network", sizes,
         "Paper: the network phase accounts for most of the bcast time while\n"
-        "only one rank per node communicates — the rest poll (waste power)."
+        "only one rank per node communicates — the rest poll (waste power).",
     )
-    return headers, rows, notes
 
 
 def plan_fig2c(sizes: Sequence[int] = FIG2C_SIZES) -> SweepPlan:
-    return _plan_phases("fig2c", "reduce", "reduce.network", sizes)
-
-
-def fig2c_reduce_phases(sizes: Sequence[int] = FIG2C_SIZES):
     """Fig 2(c): reduce total time vs its network phase."""
-    headers, rows, _ = _run_plan(plan_fig2c(sizes))
-    notes = "Same observation as Fig 2(b) for MPI_Reduce."
-    return headers, rows, notes
+    return _plan_phases(
+        "fig2c", "reduce", "reduce.network", sizes,
+        "Same observation as Fig 2(b) for MPI_Reduce.",
+    )
 
 
 # =====================================================================
 # Figure 6: polling vs blocking
 # =====================================================================
 def plan_fig6a(sizes: Sequence[int] = POWER_FIG_SIZES, iterations: int = 1) -> SweepPlan:
+    """Fig 6(a): 64-process alltoall latency, polling vs blocking."""
     cells = []
     for nbytes in sizes:
         for progress in (ProgressMode.POLLING, ProgressMode.BLOCKING):
@@ -409,14 +394,10 @@ def plan_fig6a(sizes: Sequence[int] = POWER_FIG_SIZES, iterations: int = 1) -> S
     return SweepPlan(cells, assemble)
 
 
-def fig6a_polling_vs_blocking(sizes: Sequence[int] = POWER_FIG_SIZES, iterations: int = 1):
-    """Fig 6(a): 64-process alltoall latency, polling vs blocking."""
-    return _run_plan(plan_fig6a(sizes, iterations))
-
-
 def plan_fig6b(
     nbytes: int = 256 << 10, iterations: int = 10, interval_s: float = 0.1
 ) -> SweepPlan:
+    """Fig 6(b): sampled system power while the alltoall loop runs."""
     cells = [
         _collective_cell(
             "fig6b", "alltoall", nbytes, 64, iterations=iterations,
@@ -445,18 +426,11 @@ def plan_fig6b(
     return SweepPlan(cells, assemble)
 
 
-def fig6b_power_timeline(
-    nbytes: int = 256 << 10, iterations: int = 10, interval_s: float = 0.1
-):
-    """Fig 6(b): sampled system power while the alltoall loop runs."""
-    return _run_plan(plan_fig6b(nbytes, iterations, interval_s))
-
-
 # =====================================================================
 # Figures 7 & 8: the three schemes
 # =====================================================================
 def _plan_three_scheme_latency(
-    experiment: str, op: str, sizes: Sequence[int], iterations: int = 1
+    experiment: str, op: str, sizes: Sequence[int], notes: str, iterations: int = 1
 ) -> SweepPlan:
     cells = [
         _collective_cell(experiment, op, nbytes, 64, mode=mode,
@@ -480,7 +454,7 @@ def _plan_three_scheme_latency(
             "Proposed (us)",
             "Proposed overhead",
         ]
-        return headers, rows, ""
+        return headers, rows, notes
 
     return SweepPlan(cells, assemble)
 
@@ -522,31 +496,26 @@ def _plan_three_scheme_power(
 
 
 def plan_fig7a(sizes: Sequence[int] = POWER_FIG_SIZES) -> SweepPlan:
-    return _plan_three_scheme_latency("fig7a", "alltoall", sizes)
-
-
-def fig7a_alltoall_latency(sizes: Sequence[int] = POWER_FIG_SIZES):
     """Fig 7(a): alltoall latency under the three schemes, 64 processes."""
-    headers, rows, _ = _run_plan(plan_fig7a(sizes))
-    notes = (
+    return _plan_three_scheme_latency(
+        "fig7a", "alltoall", sizes,
         "Paper: ~10% gap between default and power-aware; very little\n"
-        "difference between Freq-Scaling and Proposed."
+        "difference between Freq-Scaling and Proposed.",
     )
-    return headers, rows, notes
 
 
 def plan_fig7b(
     nbytes: int = 1 << 20, iterations: int = 8, interval_s: float = 0.25
 ) -> SweepPlan:
+    """Fig 7(b): sampled power during the alltoall loop."""
     return _plan_three_scheme_power("fig7b", "alltoall", nbytes, iterations, interval_s)
 
 
-def fig7b_alltoall_power(nbytes: int = 1 << 20, iterations: int = 8, interval_s: float = 0.25):
-    """Fig 7(b): sampled power during the alltoall loop."""
-    return _run_plan(plan_fig7b(nbytes, iterations, interval_s))
-
-
 def plan_alltoallv(sizes: Sequence[int] = POWER_FIG_SIZES) -> SweepPlan:
+    """§VII-D: MPI_Alltoallv mirrors the Alltoall results ([26]).
+
+    Uses deterministically skewed per-peer counts (±15 % around the mean)
+    so the vector path is genuinely exercised."""
     cells = [
         SweepCell(
             experiment="alltoallv",
@@ -583,34 +552,20 @@ def plan_alltoallv(sizes: Sequence[int] = POWER_FIG_SIZES) -> SweepPlan:
     return SweepPlan(cells, assemble)
 
 
-def alltoallv_power(sizes: Sequence[int] = POWER_FIG_SIZES):
-    """§VII-D: MPI_Alltoallv mirrors the Alltoall results ([26]).
-
-    Uses deterministically skewed per-peer counts (±15 % around the mean)
-    so the vector path is genuinely exercised."""
-    return _run_plan(plan_alltoallv(sizes))
-
-
 def plan_fig8a(sizes: Sequence[int] = POWER_FIG_SIZES) -> SweepPlan:
-    return _plan_three_scheme_latency("fig8a", "bcast", sizes, iterations=4)
-
-
-def fig8a_bcast_latency(sizes: Sequence[int] = POWER_FIG_SIZES):
     """Fig 8(a): bcast latency under the three schemes, 64 processes."""
-    headers, rows, _ = _run_plan(plan_fig8a(sizes))
-    notes = "Paper: ~15% overhead at 1MB; power variants nearly identical."
-    return headers, rows, notes
+    return _plan_three_scheme_latency(
+        "fig8a", "bcast", sizes,
+        "Paper: ~15% overhead at 1MB; power variants nearly identical.",
+        iterations=4,
+    )
 
 
 def plan_fig8b(
     nbytes: int = 1 << 20, iterations: int = 600, interval_s: float = 0.25
 ) -> SweepPlan:
-    return _plan_three_scheme_power("fig8b", "bcast", nbytes, iterations, interval_s)
-
-
-def fig8b_bcast_power(nbytes: int = 1 << 20, iterations: int = 600, interval_s: float = 0.25):
     """Fig 8(b): sampled power during the bcast loop."""
-    return _run_plan(plan_fig8b(nbytes, iterations, interval_s))
+    return _plan_three_scheme_power("fig8b", "bcast", nbytes, iterations, interval_s)
 
 
 # =====================================================================
@@ -644,11 +599,28 @@ def _app_cell(experiment: str, app, ranks: int, mode: PowerMode,
     )
 
 
-def _plan_apps(experiment: str, apps: Iterable, ranks=(32, 64)) -> SweepPlan:
+def _perf_rows(app, n: int, group) -> List[Tuple]:
+    """Figs 9/10: one (total, alltoall) time row per scheme."""
+    return [
+        (app.name, n, MODE_LABELS[mode], r.app["total_time_s"],
+         r.app["alltoall_time_s"])
+        for mode, r in zip(MODES, group)
+    ]
+
+
+def _energy_rows(app, n: int, group) -> List[Tuple]:
+    """Tables I/II: one row of per-scheme energies."""
+    return [(app.name, n, *[r.app["energy_kj"] for r in group])]
+
+
+def _plan_apps(experiment: str, apps: Iterable, rows_of, headers: List[str],
+               notes: str, ranks=(32, 64)) -> SweepPlan:
     """The shared fig9/10 + table I/II sweep: apps × ranks × schemes.
 
     The figure and table of the same section share the same 18 cells —
-    identical content hashes, so the runner executes each once."""
+    identical content hashes, so the runner executes each once.
+    ``rows_of(app, n, group)`` folds the three scheme results of one
+    app at ``n`` ranks into table rows."""
     apps = tuple(apps)
     cells = [
         _app_cell(experiment, app, n, mode)
@@ -658,70 +630,59 @@ def _plan_apps(experiment: str, apps: Iterable, ranks=(32, 64)) -> SweepPlan:
     ]
 
     def assemble(results):
-        perf_rows = []
-        energy_rows = []
+        rows: List[Tuple] = []
         i = 0
         for app in apps:
             for n in ranks:
-                group = results[i:i + 3]
+                rows.extend(rows_of(app, n, results[i:i + 3]))
                 i += 3
-                for mode, r in zip(MODES, group):
-                    perf_rows.append(
-                        (
-                            app.name,
-                            n,
-                            MODE_LABELS[mode],
-                            r.app["total_time_s"],
-                            r.app["alltoall_time_s"],
-                        )
-                    )
-                energy_rows.append(
-                    (app.name, n, *[r.app["energy_kj"] for r in group])
-                )
-        return perf_rows, energy_rows, ""
+        return headers, rows, notes
 
     return SweepPlan(cells, assemble)
 
 
-def fig9_cpmd_performance():
+def plan_fig9() -> SweepPlan:
     """Fig 9: CPMD total and alltoall time, 32/64 processes, 3 datasets."""
-    perf_rows, _, _ = _run_plan(_plan_apps("fig9", CPMD_DATASETS))
-    headers = ["Dataset", "Procs", "Scheme", "Total (s)", "Alltoall (s)"]
-    notes = (
+    return _plan_apps(
+        "fig9", CPMD_DATASETS, _perf_rows,
+        ["Dataset", "Procs", "Scheme", "Total (s)", "Alltoall (s)"],
         "Paper: runtime halves from 32 to 64 processes while alltoall time\n"
-        "changes little; power schemes cost ~2-5%."
+        "changes little; power schemes cost ~2-5%.",
     )
-    return headers, perf_rows, notes
 
 
-def table1_cpmd_energy():
+def plan_table1() -> SweepPlan:
     """Table I: CPMD energy (kJ) under the three schemes."""
-    _, energy_rows, _ = _run_plan(_plan_apps("table1", CPMD_DATASETS))
-    headers = ["Dataset", "Procs", "Default (kJ)", "Freq-Scaling (kJ)", "Proposed (kJ)"]
-    notes = "Paper Table I; ~8% saving on ta-inp-md at 64 processes."
-    return headers, energy_rows, notes
+    return _plan_apps(
+        "table1", CPMD_DATASETS, _energy_rows,
+        ["Dataset", "Procs", "Default (kJ)", "Freq-Scaling (kJ)", "Proposed (kJ)"],
+        "Paper Table I; ~8% saving on ta-inp-md at 64 processes.",
+    )
 
 
-def fig10_nas_performance():
+def plan_fig10() -> SweepPlan:
     """Fig 10: NAS FT and IS total + alltoall time."""
-    perf_rows, _, _ = _run_plan(_plan_apps("fig10", (NAS_FT, NAS_IS)))
-    headers = ["Kernel", "Procs", "Scheme", "Total (s)", "Alltoall (s)"]
-    notes = "Paper: same behaviour as CPMD; IS is the most alltoall-bound."
-    return headers, perf_rows, notes
+    return _plan_apps(
+        "fig10", (NAS_FT, NAS_IS), _perf_rows,
+        ["Kernel", "Procs", "Scheme", "Total (s)", "Alltoall (s)"],
+        "Paper: same behaviour as CPMD; IS is the most alltoall-bound.",
+    )
 
 
-def table2_nas_energy():
+def plan_table2() -> SweepPlan:
     """Table II: NAS energy (kJ) under the three schemes."""
-    _, energy_rows, _ = _run_plan(_plan_apps("table2", (NAS_FT, NAS_IS)))
-    headers = ["Kernel", "Procs", "Default (kJ)", "Freq-Scaling (kJ)", "Proposed (kJ)"]
-    notes = "Paper Table II; ~8% saving on IS."
-    return headers, energy_rows, notes
+    return _plan_apps(
+        "table2", (NAS_FT, NAS_IS), _energy_rows,
+        ["Kernel", "Procs", "Default (kJ)", "Freq-Scaling (kJ)", "Proposed (kJ)"],
+        "Paper Table II; ~8% saving on IS.",
+    )
 
 
 # =====================================================================
 # Model validation & ablations
 # =====================================================================
 def plan_models_validation(nbytes: int = 1 << 20) -> SweepPlan:
+    """Equations (1)-(4) against the simulator at 64 processes."""
     cells = [
         _collective_cell("models", "alltoall", nbytes, 64),
         _collective_cell("models", "bcast", nbytes, 64),
@@ -756,12 +717,8 @@ def plan_models_validation(nbytes: int = 1 << 20) -> SweepPlan:
     return SweepPlan(cells, assemble)
 
 
-def models_validation(nbytes: int = 1 << 20):
-    """Equations (1)-(4) against the simulator at 64 processes."""
-    return _run_plan(plan_models_validation(nbytes))
-
-
 def plan_ablation_granularity(nbytes: int = 1 << 20) -> SweepPlan:
+    """§V-B discussion: socket- vs core-granular throttling."""
     grans = (ThrottleGranularity.SOCKET, ThrottleGranularity.CORE)
     ops = ("bcast", "alltoall")
     cells = [
@@ -795,12 +752,9 @@ def plan_ablation_granularity(nbytes: int = 1 << 20) -> SweepPlan:
     return SweepPlan(cells, assemble)
 
 
-def ablation_throttle_granularity(nbytes: int = 1 << 20):
-    """§V-B discussion: socket- vs core-granular throttling."""
-    return _run_plan(plan_ablation_granularity(nbytes))
-
-
 def plan_ext_racks(nbytes: int = 1 << 20) -> SweepPlan:
+    """Paper §VIII future work: rack-aware power-aware broadcast on a
+    4-rack / 16-node / 128-core cluster with 2:1 oversubscribed uplinks."""
     spec = ClusterSpec(nodes=16, racks=4)
     cells = [
         _collective_cell(
@@ -831,12 +785,6 @@ def plan_ext_racks(nbytes: int = 1 << 20) -> SweepPlan:
     return SweepPlan(cells, assemble)
 
 
-def extension_rack_topology(nbytes: int = 1 << 20):
-    """Paper §VIII future work: rack-aware power-aware broadcast on a
-    4-rack / 16-node / 128-core cluster with 2:1 oversubscribed uplinks."""
-    return _run_plan(plan_ext_racks(nbytes))
-
-
 def _mixed_cell(experiment: str, sizes: Sequence[int], mode: PowerMode,
                 governor=None, scheme: str = "") -> SweepCell:
     params: Dict[str, Any] = {
@@ -858,6 +806,8 @@ def _mixed_cell(experiment: str, sizes: Sequence[int], mode: PowerMode,
 def plan_ext_adaptive(
     sizes: Sequence[int] = (16 << 10, 64 << 10, 256 << 10, 1 << 20)
 ) -> SweepPlan:
+    """Extension: the ADAPTIVE per-call policy vs the paper's static
+    schemes on a mixed-size alltoall workload (one call per size)."""
     all_modes = (*MODES, PowerMode.ADAPTIVE)
     cells = [_mixed_cell("ext-adaptive", sizes, mode) for mode in all_modes]
 
@@ -881,14 +831,6 @@ def plan_ext_adaptive(
     return SweepPlan(cells, assemble)
 
 
-def extension_adaptive_policy(
-    sizes: Sequence[int] = (16 << 10, 64 << 10, 256 << 10, 1 << 20)
-):
-    """Extension: the ADAPTIVE per-call policy vs the paper's static
-    schemes on a mixed-size alltoall workload (one call per size)."""
-    return _run_plan(plan_ext_adaptive(sizes))
-
-
 # ---------------------------------------------------------------------
 # Extension: the online governor runtime (repro.runtime)
 # ---------------------------------------------------------------------
@@ -904,27 +846,14 @@ def _governor_params(policy: str) -> Dict[str, Any]:
     return GovernorConfig(policy=GovernorPolicy(policy)).to_dict()
 
 
-def _governed_job(n_ranks: int, policy: str, **job_kwargs):
-    """An MpiJob with an online governor and the NONE static scheme (the
-    governor replaces the baked-in schedules, it does not stack on them)."""
-    from ..runtime import Governor, GovernorConfig, GovernorPolicy
-
-    gov = Governor(GovernorConfig(policy=GovernorPolicy(policy)))
-    job = MpiJob(
-        n_ranks,
-        collectives=_engine(PowerMode.NONE),
-        keep_segments=False,
-        governor=gov,
-        **job_kwargs,
-    )
-    return job, gov
-
-
 def plan_ext_governor_alltoall(
     sizes: Sequence[int] = (64 << 10, 256 << 10, 1 << 20),
     iterations: int = 3,
     n_ranks: int = 64,
 ) -> SweepPlan:
+    """Extension: online governor policies vs the paper's static schemes
+    on OSU-style alltoall loops (countdown should track No-Power latency
+    while shaving wait energy; predictive should track Proposed energy)."""
     cells = []
     for nbytes in sizes:
         for mode in MODES:
@@ -973,20 +902,11 @@ def plan_ext_governor_alltoall(
     return SweepPlan(cells, assemble)
 
 
-def extension_governor_alltoall(
-    sizes: Sequence[int] = (64 << 10, 256 << 10, 1 << 20),
-    iterations: int = 3,
-    n_ranks: int = 64,
-):
-    """Extension: online governor policies vs the paper's static schemes
-    on OSU-style alltoall loops (countdown should track No-Power latency
-    while shaving wait energy; predictive should track Proposed energy)."""
-    return _run_plan(plan_ext_governor_alltoall(sizes, iterations, n_ranks))
-
-
 def plan_ext_governor_mixed(
     sizes: Sequence[int] = (16 << 10, 64 << 10, 256 << 10, 1 << 20)
 ) -> SweepPlan:
+    """Extension: the governor vs the per-call ADAPTIVE scheme on the
+    mixed-size workload of :func:`plan_ext_adaptive`."""
     static_modes = (*MODES, PowerMode.ADAPTIVE)
     cells = [
         _mixed_cell("ext-governor-mixed", sizes, mode) for mode in static_modes
@@ -1029,15 +949,11 @@ def plan_ext_governor_mixed(
     return SweepPlan(cells, assemble)
 
 
-def extension_governor_mixed(
-    sizes: Sequence[int] = (16 << 10, 64 << 10, 256 << 10, 1 << 20)
-):
-    """Extension: the governor vs the per-call ADAPTIVE scheme on the
-    mixed-size workload of :func:`extension_adaptive_policy`."""
-    return _run_plan(plan_ext_governor_mixed(sizes))
-
-
 def plan_ext_governor_apps(include_nas: bool = True) -> SweepPlan:
+    """Extension: governor policies on the application traces (CPMD water
+    + NAS FT) against the paper's static schemes — the governor's
+    acceptance surface: countdown ≤ 1.05x best static energy at ≤ 2%
+    added communication latency."""
     apps = [(CPMD_WAT32_INP1, 64)]
     if include_nas:
         apps.append((NAS_FT, 64))
@@ -1082,14 +998,6 @@ def plan_ext_governor_apps(include_nas: bool = True) -> SweepPlan:
     return SweepPlan(cells, assemble)
 
 
-def extension_governor_apps(include_nas: bool = True):
-    """Extension: governor policies on the application traces (CPMD water
-    + NAS FT) against the paper's static schemes — the ISSUE acceptance
-    surface: countdown ≤ 1.05x best static energy at ≤ 2% added
-    communication latency."""
-    return _run_plan(plan_ext_governor_apps(include_nas))
-
-
 # ---------------------------------------------------------------------
 # Extension: fault injection (repro.faults) — robustness of the governor
 # ---------------------------------------------------------------------
@@ -1108,6 +1016,14 @@ def plan_ext_faults(
     fault_spec: str = DEFAULT_FAULT_SPEC,
     seed: int = 7,
 ) -> SweepPlan:
+    """Extension: governor policies on a quiet vs a perturbed machine.
+
+    Each loop iteration computes briefly and then alltoalls, so every
+    injector class matters: stragglers/noise stretch the compute,
+    degraded NICs stretch the collective.  The acceptance claim is that
+    countdown's envelope survives mild perturbation — latency hugging
+    the (equally perturbed) No-Power baseline while still saving energy.
+    """
     from ..faults import parse_fault_spec
 
     fault_params = parse_fault_spec(fault_spec, seed=seed).to_dict()
@@ -1167,27 +1083,15 @@ def plan_ext_faults(
     return SweepPlan(cells, assemble)
 
 
-def extension_faults_governor(
-    sizes: Sequence[int] = (64 << 10, 256 << 10),
-    iterations: int = 3,
-    n_ranks: int = 64,
-    fault_spec: str = DEFAULT_FAULT_SPEC,
-    seed: int = 7,
-):
-    """Extension: governor policies on a quiet vs a perturbed machine.
-
-    Each loop iteration computes briefly and then alltoalls, so every
-    injector class matters: stragglers/noise stretch the compute,
-    degraded NICs stretch the collective.  The acceptance claim is that
-    countdown's envelope survives mild perturbation — latency hugging
-    the (equally perturbed) No-Power baseline while still saving energy.
-    """
-    return _run_plan(plan_ext_faults(sizes, iterations, n_ranks, fault_spec, seed))
-
-
 def plan_ablation_scaling(
     nbytes: int = 256 << 10, node_counts=(2, 4, 8, 16)
 ) -> SweepPlan:
+    """Scaling study: the proposed alltoall across cluster sizes.
+
+    Equation (3) predicts overhead 2·Odvfs + N·Othrottle — linear in the
+    node count — while the power saving fraction stays constant.  This
+    sweep exercises both claims beyond the paper's 8-node testbed.
+    """
     cells = []
     for n_nodes in node_counts:
         spec = ClusterSpec(nodes=n_nodes)
@@ -1232,17 +1136,14 @@ def plan_ablation_scaling(
     return SweepPlan(cells, assemble)
 
 
-def ablation_cluster_scaling(nbytes: int = 256 << 10, node_counts=(2, 4, 8, 16)):
-    """Scaling study: the proposed alltoall across cluster sizes.
-
-    Equation (3) predicts overhead 2·Odvfs + N·Othrottle — linear in the
-    node count — while the power saving fraction stays constant.  This
-    sweep exercises both claims beyond the paper's 8-node testbed.
-    """
-    return _run_plan(plan_ablation_scaling(nbytes, node_counts))
-
-
 def plan_ablation_fmin(nbytes: int = 1 << 20) -> SweepPlan:
+    """Which DVFS target frequency minimises collective energy?
+
+    The paper always drops to the floor (1.6 GHz); this sweep justifies
+    that choice: communication is not CPU-bound, so energy decreases
+    monotonically down the P-state ladder while latency grows only via the
+    uncore/NIC coupling.
+    """
     from ..cluster.specs import DEFAULT_PSTATES
 
     cells = []
@@ -1273,20 +1174,10 @@ def plan_ablation_fmin(nbytes: int = 1 << 20) -> SweepPlan:
     return SweepPlan(cells, assemble)
 
 
-def ablation_fmin_sweep(nbytes: int = 1 << 20):
-    """Which DVFS target frequency minimises collective energy?
-
-    The paper always drops to the floor (1.6 GHz); this sweep justifies
-    that choice: communication is not CPU-bound, so energy decreases
-    monotonically down the P-state ladder while latency grows only via the
-    uncore/NIC coupling.
-    """
-    return _run_plan(plan_ablation_fmin(nbytes))
-
-
 def plan_ablation_overheads(
     nbytes: int = 256 << 10, overheads_us: Sequence[float] = (0.0, 12.0, 50.0, 200.0)
 ) -> SweepPlan:
+    """§VI-A2: sensitivity of the proposed alltoall to Odvfs/Othrottle."""
     cells = []
     for ov in overheads_us:
         cpu = CpuSpec(dvfs_latency_s=ov * 1e-6, throttle_latency_s=ov * 1e-6)
@@ -1309,13 +1200,6 @@ def plan_ablation_overheads(
         return headers, rows, notes
 
     return SweepPlan(cells, assemble)
-
-
-def ablation_transition_overheads(
-    nbytes: int = 256 << 10, overheads_us: Sequence[float] = (0.0, 12.0, 50.0, 200.0)
-):
-    """§VI-A2: sensitivity of the proposed alltoall to Odvfs/Othrottle."""
-    return _run_plan(plan_ablation_overheads(nbytes, overheads_us))
 
 
 # ---------------------------------------------------------------------
@@ -1365,7 +1249,9 @@ def plan_ext_arbiter(
     compute_s: float = 10e-3,
     compute_iterations: int = 3,
 ) -> SweepPlan:
-    """Two co-scheduled jobs under a cluster power cap (multi-job study).
+    """Extension: the cluster power-budget arbiter on a two-job scenario
+    (no-cap / uniform / redistribute at one global cap) — redistribute
+    should beat uniform on makespan at the same cap.
 
     Job A (first half of the nodes) is communication-bound — alltoall
     loops whose ranks spend most time in MPI waits, so under the
@@ -1429,25 +1315,8 @@ def plan_ext_arbiter(
     return SweepPlan(cells, assemble)
 
 
-def extension_power_arbiter(
-    n_nodes: int = 16,
-    cap_per_node_w: float = ARBITER_CAP_PER_NODE_W,
-    comm_nbytes: int = 64 << 10,
-    comm_iterations: int = 2,
-    compute_s: float = 10e-3,
-    compute_iterations: int = 3,
-):
-    """Extension: the cluster power-budget arbiter on a two-job scenario
-    (no-cap / uniform / redistribute at one global cap) — redistribute
-    should beat uniform on makespan at the same cap."""
-    return _run_plan(plan_ext_arbiter(
-        n_nodes, cap_per_node_w, comm_nbytes, comm_iterations,
-        compute_s, compute_iterations,
-    ))
-
-
-#: CLI experiment name → zero-argument cell-plan producer (the default
-#: parameterisation of each experiment, decomposed but not yet run).
+#: Experiment name → plan producer, the one registry of experiments
+#: (called with no arguments it gives the default parameterisation).
 CELL_PLANS: Dict[str, Callable[[], SweepPlan]] = {
     "fig2a": plan_fig2a,
     "fig2b": plan_fig2b,
@@ -1458,10 +1327,10 @@ CELL_PLANS: Dict[str, Callable[[], SweepPlan]] = {
     "fig7b": plan_fig7b,
     "fig8a": plan_fig8a,
     "fig8b": plan_fig8b,
-    "fig9": lambda: _plan_apps("fig9", CPMD_DATASETS),
-    "fig10": lambda: _plan_apps("fig10", (NAS_FT, NAS_IS)),
-    "table1": lambda: _plan_apps("table1", CPMD_DATASETS),
-    "table2": lambda: _plan_apps("table2", (NAS_FT, NAS_IS)),
+    "fig9": plan_fig9,
+    "fig10": plan_fig10,
+    "table1": plan_table1,
+    "table2": plan_table2,
     "models": plan_models_validation,
     "alltoallv": plan_alltoallv,
     "ablation-granularity": plan_ablation_granularity,

@@ -2,14 +2,14 @@
 
 A campaign that covers ``table1`` does not just fill a cache — it ends
 with ``table1.json`` + ``table1.txt`` under the campaign directory,
-rendered through the *same* experiment functions, JSON schema
-(:mod:`repro.bench.export`) and table formatter
+rendered through the *same* :func:`repro.bench.run_plan` declarations,
+JSON schema (:mod:`repro.bench.export`) and table formatter
 (:mod:`repro.bench.report`) the ``repro experiment`` command uses.  By
 the time this stage runs every needed cell is in the store, so the
-experiment functions execute as pure cache reads: rendering artifacts
-for a finished campaign costs no simulation at all, and the output is
-byte-identical to a cold single-process run — the acceptance property
-CI pins with ``cmp``.
+plans execute as pure cache reads: rendering artifacts for a finished
+campaign costs no simulation at all, and the output is byte-identical
+to a cold single-process run — the acceptance property CI pins with
+``cmp``.
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ def render_artifacts(
 ) -> List[Dict[str, Any]]:
     """Render ``names`` (default: the spec's artifact list) under
     ``<campaign_dir>/artifacts/``; returns one record per artifact."""
-    from ..bench import use_runner
+    from ..bench import run_plan, use_runner
     from ..bench.export import save_json
     from ..bench.report import render_experiment, save_report
-    from ..cli import EXPERIMENTS
 
     names = list(spec.artifacts if names is None else names)
     art_dir = Path(campaign_dir) / "artifacts"
@@ -43,7 +42,7 @@ def render_artifacts(
             jobs=jobs, cache=cache, stats=stats,
             governor=spec.governor, faults=spec.faults,
         ):
-            headers, rows, notes = EXPERIMENTS[name]()
+            headers, rows, notes = run_plan(name)
         json_path = save_json(
             name, headers, rows, notes, results_dir=str(art_dir)
         )

@@ -1,21 +1,9 @@
-"""Fast smoke tests of the experiment functions with reduced parameters,
+"""Fast smoke tests of the experiment plans with reduced parameters,
 so `pytest tests/` exercises the bench code paths without the full sweeps."""
 
 import pytest
 
-from repro.bench import (
-    ablation_throttle_granularity,
-    ablation_transition_overheads,
-    alltoallv_power,
-    fig2a_alltoall_scaling,
-    fig2b_bcast_phases,
-    fig2c_reduce_phases,
-    fig6a_polling_vs_blocking,
-    fig7a_alltoall_latency,
-    fig8a_bcast_latency,
-    models_validation,
-    run_collective_loop,
-)
+from repro.bench import run_collective_loop, run_plan
 
 SMALL = (64 << 10,)
 
@@ -29,46 +17,46 @@ def _check(headers, rows, notes):
 
 
 def test_fig2a_smoke():
-    _check(*fig2a_alltoall_scaling(sizes=SMALL))
+    _check(*run_plan("fig2a", sizes=SMALL))
 
 
 def test_fig2b_smoke():
-    _check(*fig2b_bcast_phases(sizes=SMALL))
+    _check(*run_plan("fig2b", sizes=SMALL))
 
 
 def test_fig2c_smoke():
-    _check(*fig2c_reduce_phases(sizes=(1024,)))
+    _check(*run_plan("fig2c", sizes=(1024,)))
 
 
 def test_fig6a_smoke():
-    _check(*fig6a_polling_vs_blocking(sizes=SMALL))
+    _check(*run_plan("fig6a", sizes=SMALL))
 
 
 def test_fig7a_smoke():
-    headers, rows, notes = fig7a_alltoall_latency(sizes=SMALL)
+    headers, rows, notes = run_plan("fig7a", sizes=SMALL)
     _check(headers, rows, notes)
     # Scheme ordering holds even at one point.
     assert rows[0][1] < rows[0][2] < rows[0][3]
 
 
 def test_fig8a_smoke():
-    _check(*fig8a_bcast_latency(sizes=SMALL))
+    _check(*run_plan("fig8a", sizes=SMALL))
 
 
 def test_alltoallv_smoke():
-    _check(*alltoallv_power(sizes=SMALL))
+    _check(*run_plan("alltoallv", sizes=SMALL))
 
 
 def test_models_validation_smoke():
-    _check(*models_validation(nbytes=64 << 10))
+    _check(*run_plan("models", nbytes=64 << 10))
 
 
 def test_granularity_smoke():
-    _check(*ablation_throttle_granularity(nbytes=64 << 10))
+    _check(*run_plan("ablation-granularity", nbytes=64 << 10))
 
 
 def test_overheads_smoke():
-    _check(*ablation_transition_overheads(nbytes=64 << 10, overheads_us=(0.0, 12.0)))
+    _check(*run_plan("ablation-overheads", nbytes=64 << 10, overheads_us=(0.0, 12.0)))
 
 
 def test_run_collective_loop_iterations():

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.campaign import (
     CampaignManifest,
     CampaignSpec,
@@ -148,24 +150,24 @@ def test_artifacts_rendered_from_cache(tmp_path):
     assert data["rows"]
 
 
-def test_artifacts_byte_identical_to_direct_experiment_run(tmp_path):
-    """The campaign's artifact JSON matches `repro experiment models
-    --json` byte for byte — same functions, same schema, warm cache."""
+@pytest.mark.parametrize("name", ["models", "fig2b"])
+def test_artifacts_byte_identical_to_direct_experiment_run(tmp_path, name):
+    """The campaign's artifact JSON matches `repro experiment NAME
+    --json` byte for byte — same plans, same schema, warm cache."""
     from pathlib import Path
 
-    from repro import bench, cli
-    from repro.bench import save_json
+    from repro.bench import run_plan, save_json, use_runner
 
-    spec = {"name": "t", "experiments": ["models"]}
+    spec = {"name": "t", "experiments": [name]}
     cache = ResultCache(tmp_path / "cache")
     result = _run(tmp_path, spec=spec, cache=cache)
     assert result.ok
 
-    with bench.use_runner(jobs=1, cache=cache):
-        headers, rows, notes = cli.EXPERIMENTS["models"]()
-    direct = Path(save_json("models", headers, rows, notes,
+    with use_runner(jobs=1, cache=cache):
+        headers, rows, notes = run_plan(name)
+    direct = Path(save_json(name, headers, rows, notes,
                             results_dir=str(tmp_path / "direct")))
-    campaign_json = tmp_path / "camp" / "artifacts" / "models.json"
+    campaign_json = tmp_path / "camp" / "artifacts" / f"{name}.json"
     assert campaign_json.read_bytes() == direct.read_bytes()
 
 

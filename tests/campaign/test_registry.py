@@ -1,28 +1,39 @@
 """Registry completeness: the CLI, plan, and campaign layers agree.
 
-Campaigns reach experiments through :data:`repro.bench.CELL_PLANS` while
-the CLI reaches them through :data:`repro.cli.EXPERIMENTS`; a name in
-one but not the other means a figure the campaign engine silently
-cannot cover.  And every planned cell must survive the shard wire
-format (``to_dict``/``from_dict``) without changing identity.
+:data:`repro.bench.CELL_PLANS` is the one registry of experiments:
+campaigns and ``repro experiment`` both resolve names through it, so
+every plan must be listed by ``repro experiments``.  And every planned
+cell must survive the shard wire format (``to_dict``/``from_dict``)
+without changing identity.
 """
 
+import io
+import re
+
 from repro.bench import CELL_PLANS
-from repro.cli import EXPERIMENTS
+from repro.cli import _canonical_experiment, main
 from repro.runner import SweepCell, cache_key
 
 
+def _listed_experiments():
+    out = io.StringIO()
+    assert main(["experiments"], out=out) == 0
+    return [line.split()[0] for line in out.getvalue().splitlines()]
+
+
 def test_every_cli_experiment_has_a_cell_plan():
-    missing = sorted(set(EXPERIMENTS) - set(CELL_PLANS))
-    assert not missing, (
-        f"experiments without plan producers (campaigns cannot run "
-        f"them): {missing}"
-    )
+    # Every name ``repro experiments`` lists, and its zero-padded
+    # spelling, must resolve to a plan campaigns can run.
+    for name in _listed_experiments():
+        padded = re.sub(r"^(fig|table)(\d)", r"\g<1>0\2", name)
+        for spelling in {name, padded, name.upper()}:
+            key = _canonical_experiment(spelling)
+            assert key == name, f"{spelling!r} resolves to {key!r}"
+        assert CELL_PLANS[key]().cells, f"plan {name!r} expands to no cells"
 
 
 def test_every_cell_plan_is_cli_reachable():
-    orphaned = sorted(set(CELL_PLANS) - set(EXPERIMENTS))
-    assert not orphaned, f"plans with no CLI experiment: {orphaned}"
+    assert _listed_experiments() == sorted(CELL_PLANS)
 
 
 def test_all_planned_cells_round_trip_the_wire_format():

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.bench import extension_faults_governor, extension_governor_alltoall, use_runner
+from repro.bench import run_plan, use_runner
 from repro.runner import clear_memo
 
 
@@ -23,10 +23,10 @@ def _fresh_memo():
     clear_memo()
 
 
-def _series(experiment_fn, jobs, **kwargs):
+def _series(name, jobs, **kwargs):
     """Run an experiment through the runner and canonicalise its rows."""
     with use_runner(jobs=jobs, cache=None):
-        headers, rows, _notes = experiment_fn(**kwargs)
+        headers, rows, _notes = run_plan(name, **kwargs)
     return json.dumps(
         {"headers": headers, "rows": [list(r) for r in rows]},
         sort_keys=True,
@@ -35,15 +35,15 @@ def _series(experiment_fn, jobs, **kwargs):
 
 def test_governor_experiment_jobs4_matches_jobs1():
     kwargs = {"sizes": (64 << 10,), "iterations": 2, "n_ranks": 32}
-    inline = _series(extension_governor_alltoall, 1, **kwargs)
+    inline = _series("ext-governor-alltoall", 1, **kwargs)
     clear_memo()  # jobs=4 must recompute, not replay the memo
-    parallel = _series(extension_governor_alltoall, 4, **kwargs)
+    parallel = _series("ext-governor-alltoall", 4, **kwargs)
     assert parallel == inline
 
 
 def test_fault_experiment_jobs4_matches_jobs1():
     kwargs = {"sizes": (64 << 10,), "iterations": 2, "n_ranks": 32}
-    inline = _series(extension_faults_governor, 1, **kwargs)
+    inline = _series("ext-faults", 1, **kwargs)
     clear_memo()
-    parallel = _series(extension_faults_governor, 4, **kwargs)
+    parallel = _series("ext-faults", 4, **kwargs)
     assert parallel == inline

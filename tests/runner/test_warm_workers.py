@@ -169,12 +169,12 @@ def test_use_runner_overlay_collects_reports_and_replays_from_cache(tmp_path):
 
     def sweep():
         clear_memo()
-        from repro.bench import fig2c_reduce_phases
+        from repro.bench import run_plan
 
         stats = SweepStats()
         with use_runner(jobs=1, cache=cache, stats=stats,
                         governor=governor, faults=faults) as scope:
-            headers, rows, _ = fig2c_reduce_phases(sizes=(4, 64))
+            headers, rows, _ = run_plan("fig2c", sizes=(4, 64))
         return scope, stats, json.dumps([headers, [list(r) for r in rows]],
                                         sort_keys=True)
 

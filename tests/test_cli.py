@@ -4,7 +4,8 @@ import io
 
 import pytest
 
-from repro.cli import EXPERIMENTS, _parse_size, build_parser, main
+from repro.bench import CELL_PLANS
+from repro.cli import _parse_size, build_parser, main
 
 
 def run_cli(*argv):
@@ -35,10 +36,11 @@ def test_experiments_listing():
 
 
 def test_experiment_names_all_registered():
-    # Every experiment in the registry is callable with no args.
-    for fn in EXPERIMENTS.values():
-        assert callable(fn)
-        assert fn.__doc__
+    # Every plan producer is callable and carries the docstring
+    # `repro experiments` prints.
+    for producer in CELL_PLANS.values():
+        assert callable(producer)
+        assert producer.__doc__
 
 
 def test_osu_latency_command():
