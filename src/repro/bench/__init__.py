@@ -10,7 +10,6 @@ from .experiments import (
     MODE_LABELS,
     MODES,
     POWER_FIG_SIZES,
-    run_collective_loop,
     run_plan,
     RunnerScope,
     SweepPlan,
@@ -49,7 +48,6 @@ __all__ = [
     "refresh_baselines",
     "render_experiment",
     "render_sweep_report",
-    "run_collective_loop",
     "run_plan",
     "RunnerScope",
     "save_governor_json",

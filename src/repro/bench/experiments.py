@@ -32,7 +32,7 @@ from ..apps import (
     NAS_IS,
 )
 from ..cluster.specs import ClusterSpec, CpuSpec, NodeSpec, ThrottleGranularity
-from ..collectives.registry import CollectiveConfig, CollectiveEngine, PowerMode
+from ..collectives.registry import PowerMode
 from ..models import (
     ModelParams,
     t_alltoall_pairwise,
@@ -40,7 +40,6 @@ from ..models import (
     t_bcast_power_aware,
     t_bcast_scatter_allgather,
 )
-from ..mpi.job import JobResult, MpiJob
 from ..mpi.p2p import ProgressMode
 from ..runner import CellResult, SweepCell, run_cells
 from .report import bytes_label
@@ -60,37 +59,6 @@ MODE_LABELS = {
     PowerMode.DVFS: "Freq-Scaling",
     PowerMode.PROPOSED: "Proposed",
 }
-
-
-def _engine(mode: PowerMode) -> CollectiveEngine:
-    return CollectiveEngine(CollectiveConfig(power_mode=mode))
-
-
-def run_collective_loop(
-    op: str,
-    nbytes: int,
-    n_ranks: int,
-    mode: PowerMode = PowerMode.NONE,
-    iterations: int = 1,
-    progress: ProgressMode = ProgressMode.POLLING,
-    cluster_spec: Optional[ClusterSpec] = None,
-    keep_segments: bool = True,
-) -> JobResult:
-    """Run ``iterations`` back-to-back collectives (the OSU benchmark
-    loop of §VII-B) and return the job result."""
-    job = MpiJob(
-        n_ranks,
-        cluster_spec=cluster_spec,
-        collectives=_engine(mode),
-        progress=progress,
-        keep_segments=keep_segments,
-    )
-
-    def program(ctx):
-        for _ in range(iterations):
-            yield from getattr(ctx, op)(nbytes)
-
-    return job.run(program)
 
 
 def _mean_latency_us(result, iterations: int) -> float:
@@ -176,9 +144,7 @@ def instrument_cells(
     A cell whose params already carry a ``governor``/``faults``/
     ``arbiter`` key keeps it — plan-declared instrumentation
     (ext-governor's policy grid, ext-faults' mild column, ext-arbiter's
-    policy columns) always wins over the CLI flags, matching the old
-    ambient-scope precedence where an explicit config bypassed the
-    scope.  Returns the (possibly rebuilt) cells plus the index tuples
+    policy columns) always wins over the CLI flags.  Returns the (possibly rebuilt) cells plus the index tuples
     of cells that received each overlay, so the caller can harvest
     exactly those reports.
     """

@@ -19,10 +19,9 @@ Quick start::
     ))
     job = MpiJob(64, faults=plan)
 
-or ambiently (how the CLI's ``--faults`` flag works)::
-
-    with use_faults(parse_fault_spec("degrade:factor=0.5;noise", seed=7)):
-        run_any_experiment()
+The CLI's ``--faults`` flag parses its spec with :func:`parse_fault_spec`
+and ships the plan to every cell as plain data (``FaultPlan.to_dict()``);
+the cell executor rebuilds it and hands it to its session the same way.
 """
 
 from .plan import (
@@ -35,13 +34,11 @@ from .plan import (
     TransitionJitter,
     parse_fault_spec,
 )
-from .scope import FaultScope, ambient_fault_scope, use_faults
 from .state import FaultReport, FaultState
 
 __all__ = [
     "FaultPlan",
     "FaultReport",
-    "FaultScope",
     "FaultSpecError",
     "FaultState",
     "LinkDegrade",
@@ -49,7 +46,5 @@ __all__ = [
     "OsNoise",
     "Straggler",
     "TransitionJitter",
-    "ambient_fault_scope",
     "parse_fault_spec",
-    "use_faults",
 ]

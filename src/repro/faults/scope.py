@@ -1,64 +1,6 @@
-"""Ambient fault scope: ``use_faults`` mirrors ``use_tracer``/``use_governor``.
+"""Empty: fault plans reach a session only as ``SimSession(faults=...)``.
 
-While a scope is active, every :class:`~repro.sim.session.SimSession`
-built without an explicit ``faults`` plan binds the scope's plan, and the
-per-run :class:`~repro.faults.state.FaultReport` s accumulate on the
-scope — the CLI uses this to perturb whole experiments without threading
-a parameter through every benchmark function.
+The module is kept because ``perfbench/workloads.py`` lists
+``repro.faults.scope`` in ``LAZY_MODULES`` and imports it by name; it
+can go with the next change to the benchmark.
 """
-
-from __future__ import annotations
-
-import contextlib
-from typing import TYPE_CHECKING, Iterator, List, Optional
-
-from .plan import FaultPlan
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .state import FaultReport
-
-__all__ = ["FaultScope", "ambient_fault_scope", "use_faults"]
-
-
-class FaultScope:
-    """Ambient fault configuration plus the reports of every run under it."""
-
-    def __init__(self, plan: FaultPlan):
-        self.plan = plan
-        self.reports: List["FaultReport"] = []
-
-    def collect(self, report: "FaultReport") -> None:
-        self.reports.append(report)
-
-
-_AMBIENT: List[Optional[FaultScope]] = []
-
-
-def ambient_fault_scope() -> Optional[FaultScope]:
-    """The innermost active :func:`use_faults` scope, if any.
-
-    A ``use_faults(None)`` shadow entry hides any outer scope: the
-    hermetic cell executor installs one so a cell sees no ambient fault
-    plan no matter what the calling process has active."""
-    return _AMBIENT[-1] if _AMBIENT else None
-
-
-@contextlib.contextmanager
-def use_faults(plan: Optional[FaultPlan]) -> Iterator[Optional[FaultScope]]:
-    """Install ``plan`` as the ambient fault plan for the ``with`` body.
-
-    ``plan=None`` installs a *shadow* instead (mirroring
-    ``use_tracer(None)`` / ``use_metrics(None)``): inside the body,
-    :func:`ambient_fault_scope` returns None even when an outer scope is
-    active.
-
-    Yields the :class:`FaultScope` (None for a shadow); after the body
-    ran, ``scope.reports`` holds one
-    :class:`~repro.faults.state.FaultReport` per perturbed job.
-    """
-    scope = FaultScope(plan) if plan is not None else None
-    _AMBIENT.append(scope)
-    try:
-        yield scope
-    finally:
-        _AMBIENT.pop()

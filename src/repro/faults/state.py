@@ -30,7 +30,7 @@ same plan, two runs perturb — and therefore simulate — identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from .plan import (
     FaultPlan,
@@ -91,10 +91,9 @@ def _pick(rng: "random.Random", population: List, fraction: float) -> List:
 class FaultState:
     """One session's live injection state (see the module docstring)."""
 
-    def __init__(self, plan: FaultPlan, session: "SimSession", scope=None):
+    def __init__(self, plan: FaultPlan, session: "SimSession"):
         self.plan = plan
         self.session = session
-        self.scope = scope
         self.env = session.env
         # -- counters (folded into the report) -----------------------------
         self.link_events = 0
@@ -261,16 +260,12 @@ class FaultState:
 
     # -- lifecycle -----------------------------------------------------------
     def finish_run(self) -> FaultReport:
-        """Cancel pending link timers and seal the report (collected by
-        the ambient scope when one owns this plan)."""
+        """Cancel pending link timers and return the report."""
         for timer in self._timers:
             if not timer.cancelled and not timer.fired:
                 timer.cancel()
         self._timers.clear()
-        report = self.report()
-        if self.scope is not None:
-            self.scope.collect(report)
-        return report
+        return self.report()
 
     def report(self) -> FaultReport:
         return FaultReport(

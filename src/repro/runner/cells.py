@@ -3,21 +3,22 @@
 A :class:`SweepCell` carries only plain data (dicts, lists, numbers,
 strings), so it pickles across a process boundary and hashes into a
 stable cache key.  :func:`execute_cell` is the pure entry point: it
-reconstitutes the full simulation substrate (via
-:meth:`repro.sim.session.SimSession.from_spec`), runs the cell's
-workload, and returns a :class:`CellResult` of plain data again.
+reconstitutes the full simulation substrate (a
+:class:`~repro.sim.session.SimSession` built from the cell's params),
+runs the cell's workload, and returns a :class:`CellResult` of plain
+data again.
 
 Purity contract
 ---------------
-``execute_cell`` must depend on nothing but the cell: no ambient
-tracer/governor/fault scopes, no module-level mutable state, no clock.
-Seeds (e.g. a fault plan's) live *inside* the cell spec, so a cell run
-in a worker process is bit-identical to the same cell run inline — the
-property the parallel executor and the result cache both rest on.
-``execute_cell`` enforces this itself by shadowing the ambient
-governor/fault scopes for the duration (``use_governor(None)`` /
-``use_faults(None)``), so an inline cell under a CLI scope reconstructs
-exactly what a worker reconstructs: from its params, or nothing.
+``execute_cell`` must depend on nothing but the cell: no module-level
+mutable state, no clock.  Governor configs, fault plans (with their
+seeds) and arbiter configs live *inside* the cell spec and are rebuilt
+fresh per session by :func:`_session_from_params` — a session has no
+other way to acquire them — so a cell run in a worker process is
+bit-identical to the same cell run inline, the property the parallel
+executor and the result cache both rest on.  Ambient tracer/metrics
+scopes only observe, and :func:`execute_cell` shadows them when it
+captures a cell's observability payload.
 
 Substrate cache
 ---------------
@@ -580,32 +581,22 @@ def execute_cell(cell: SweepCell, capture: Optional[Any] = None) -> CellResult:
     snapshot, profile samples) is sealed into ``result.metrics`` as
     plain data — the parent process replays it in submit order (see
     :func:`~repro.runner.pool.run_cells`), so ``--jobs N`` observes
-    exactly what ``--jobs 1`` observes.  The scope shadows all ambient
-    instrumentation, so the cell itself stays a pure function of
-    ``(cell, capture)``.
+    exactly what ``--jobs 1`` observes.  The scope shadows the ambient
+    tracer/metrics/profile scopes, so the cell itself stays a pure
+    function of ``(cell, capture)``.
 
-    Ambient governor/fault/arbiter scopes are *always* shadowed
-    (independent of ``capture``): a session built inside a cell would
-    otherwise adopt the calling process's
-    ``use_governor``/``use_faults``/``use_arbiter`` scope when run
-    inline but not in a worker, breaking the inline == worker == cache
-    identity.  Governor configs, fault plans, and arbiter configs reach
-    a cell through its params only.
+    Governor configs, fault plans and arbiter configs reach a cell
+    through its params only (see the module docstring).
     """
-    from ..faults.scope import use_faults
-    from ..runtime.arbiter import use_arbiter
-    from ..runtime.governor import use_governor
-
     wall0 = time.perf_counter()
-    with use_governor(None), use_faults(None), use_arbiter(None):
-        if capture:
-            from ..obs.capture import capture_cell
+    if capture:
+        from ..obs.capture import capture_cell
 
-            with capture_cell(capture) as cap:
-                result = _EXECUTORS[cell.kind](cell.params)
-            result.metrics = cap.seal()
-        else:
+        with capture_cell(capture) as cap:
             result = _EXECUTORS[cell.kind](cell.params)
+        result.metrics = cap.seal()
+    else:
+        result = _EXECUTORS[cell.kind](cell.params)
     result.wall_time_s = time.perf_counter() - wall0
     return result
 

@@ -26,9 +26,8 @@ signature per worker, not once per cell.
 Determinism argument
 --------------------
 Every cell is a pure function of its spec (fresh ``SimSession`` per
-cell, seeds inside the spec, ambient scopes shadowed in
-``execute_cell``), so *where* a cell runs cannot change its simulated
-output.  Batches are collected in submit order — never ``as_completed``
+cell, governor/fault/arbiter configs and seeds inside the spec), so
+*where* a cell runs cannot change its simulated output.  Batches are collected in submit order — never ``as_completed``
 — and results concatenate back into submission order, so reassembly
 order cannot change either.  Hence ``--jobs N`` output is byte-identical
 to ``--jobs 1`` for every N.

@@ -38,7 +38,6 @@ pending timer is cancelled when the last rank finishes.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
@@ -54,10 +53,7 @@ __all__ = [
     "ArbiterConfig",
     "ArbiterPolicy",
     "ArbiterReport",
-    "ArbiterScope",
     "PowerArbiter",
-    "ambient_arbiter_scope",
-    "use_arbiter",
 ]
 
 
@@ -162,13 +158,8 @@ class PowerArbiter:
     feed :meth:`record_wait`.  :meth:`finish_run` seals the report.
     """
 
-    def __init__(
-        self,
-        config: ArbiterConfig,
-        scope: Optional["ArbiterScope"] = None,
-    ):
+    def __init__(self, config: ArbiterConfig):
         self.config = config
-        self.scope = scope
         self.monitor = SlackMonitor(alpha=config.ewma_alpha)
         self.session: Optional["SimSession"] = None
         self._timer: Optional["Timer"] = None
@@ -348,15 +339,11 @@ class PowerArbiter:
 
     # -- reporting ----------------------------------------------------------
     def finish_run(self) -> ArbiterReport:
-        """Seal the run: stop the tick timer and emit the report (also
-        collected by the ambient scope, if one owns this arbiter)."""
+        """Seal the run: stop the tick timer and return the report."""
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        report = self.report()
-        if self.scope is not None:
-            self.scope.collect(report)
-        return report
+        return self.report()
 
     def report(self) -> ArbiterReport:
         return ArbiterReport(
@@ -371,43 +358,3 @@ class PowerArbiter:
             else self.min_budget_w,
             max_budget_w=self.max_budget_w,
         )
-
-
-class ArbiterScope:
-    """Ambient arbiter configuration (mirrors :class:`GovernorScope`).
-
-    While a scope is active, every :class:`~repro.sim.session.SimSession`
-    built without an explicit arbiter constructs one from the scope's
-    config, and per-run reports accumulate on the scope."""
-
-    def __init__(self, config: ArbiterConfig):
-        self.config = config
-        self.reports: List[ArbiterReport] = []
-
-    def collect(self, report: ArbiterReport) -> None:
-        self.reports.append(report)
-
-    def make_arbiter(self) -> PowerArbiter:
-        return PowerArbiter(self.config, scope=self)
-
-
-_AMBIENT: List[Optional[ArbiterScope]] = []
-
-
-def ambient_arbiter_scope() -> Optional[ArbiterScope]:
-    """The innermost active :func:`use_arbiter` scope, if any.  A
-    ``use_arbiter(None)`` shadow entry hides any outer scope (the
-    hermetic cell executor installs one)."""
-    return _AMBIENT[-1] if _AMBIENT else None
-
-
-@contextlib.contextmanager
-def use_arbiter(config: Optional[ArbiterConfig]):
-    """Install ``config`` as the ambient arbiter for the ``with`` body;
-    ``config=None`` installs a shadow (mirroring :func:`use_governor`)."""
-    scope = ArbiterScope(config) if config is not None else None
-    _AMBIENT.append(scope)
-    try:
-        yield scope
-    finally:
-        _AMBIENT.pop()

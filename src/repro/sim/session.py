@@ -88,7 +88,9 @@ class SimSession:
     Parameters mirror the spec dataclasses; every one is optional and
     defaults to the paper's testbed.  ``tracer`` defaults to the ambient
     tracer (see :func:`repro.sim.trace.use_tracer`), which is the null
-    tracer unless a CLI ``--trace`` scope is active.
+    tracer unless a CLI ``--trace`` scope is active.  ``governor``,
+    ``faults`` and ``arbiter`` are the only way those instruments reach
+    a simulation: a session never picks one up from its surroundings.
     """
 
     def __init__(
@@ -106,14 +108,11 @@ class SimSession:
     ):
         from ..cluster.specs import ClusterSpec
         from ..cluster.topology import Cluster
-        from ..faults.scope import ambient_fault_scope
         from ..faults.state import FaultState
         from ..network.ibnet import IBNetwork
         from ..network.params import NetworkSpec
         from ..power.accounting import EnergyAccountant
         from ..power.model import PowerModel
-        from ..runtime.arbiter import ambient_arbiter_scope
-        from ..runtime.governor import ambient_governor_scope
 
         self.cluster_spec = cluster_spec or ClusterSpec.paper_testbed()
         self.network_spec = network_spec or NetworkSpec()
@@ -148,31 +147,17 @@ class SimSession:
             self.cluster, self.power_model,
             keep_segments=keep_segments, columnar=columnar,
         )
-        fault_scope = None
-        if faults is None:
-            fault_scope = ambient_fault_scope()
-            if fault_scope is not None:
-                faults = fault_scope.plan
         #: Live fault-injection state (see :mod:`repro.faults`), or None.
         #: Bound before the governor so policies always see the perturbed
         #: machine, never a half-built one.
         self.faults: Optional["FaultState"] = (
-            FaultState(faults, self, scope=fault_scope)
-            if faults is not None else None
+            FaultState(faults, self) if faults is not None else None
         )
-        if governor is None:
-            scope = ambient_governor_scope()
-            if scope is not None:
-                governor = scope.make_governor()
         #: Optional online power governor (see :mod:`repro.runtime`); the
         #: MPI layer notifies it when present, never pays for it when not.
         self.governor: Optional["Governor"] = governor
         if governor is not None:
             governor.bind(self)
-        if arbiter is None:
-            arb_scope = ambient_arbiter_scope()
-            if arb_scope is not None:
-                arbiter = arb_scope.make_arbiter()
         #: Optional cluster-wide power-budget arbiter (see
         #: :mod:`repro.runtime.arbiter`).  Bound *after* the governor so it
         #: sees the fully instrumented machine; it owns the whole session,
@@ -180,70 +165,6 @@ class SimSession:
         self.arbiter: Optional["PowerArbiter"] = arbiter
         if arbiter is not None:
             arbiter.bind(self)
-
-    @classmethod
-    def from_spec(cls, spec: dict, tracer: Optional[Tracer] = None) -> "SimSession":
-        """Build a session from one plain (picklable, JSON-able) dict.
-
-        This is the worker-process entry point of the sweep runner: a
-        :class:`~repro.runner.cells.SweepCell` ships only plain data
-        across the process boundary, and the worker reconstitutes the
-        full substrate here.  Recognised keys (all optional):
-
-        * ``cluster`` / ``network`` / ``power`` — ``to_dict()`` forms of
-          :class:`~repro.cluster.specs.ClusterSpec`,
-          :class:`~repro.network.params.NetworkSpec`,
-          :class:`~repro.power.model.PowerModelParams`.
-        * ``governor`` — ``GovernorConfig.to_dict()`` form; a fresh
-          :class:`~repro.runtime.governor.Governor` is built from it.
-        * ``faults`` — ``FaultPlan.to_dict()`` form.
-        * ``arbiter`` — ``ArbiterConfig.to_dict()`` form; a fresh
-          :class:`~repro.runtime.arbiter.PowerArbiter` is built from it.
-        * ``keep_segments`` / ``columnar`` / ``validate`` — booleans, as
-          in ``__init__``.  ``columnar`` selects the energy-accounting
-          backend only (byte-identical results), so like
-          ``NetworkSpec.vectorized`` it never enters cell cache keys.
-        """
-        from ..cluster.specs import ClusterSpec
-        from ..network.params import NetworkSpec
-        from ..power.model import PowerModelParams
-
-        governor = None
-        if spec.get("governor") is not None:
-            from ..runtime.governor import Governor, GovernorConfig
-
-            governor = Governor(GovernorConfig.from_dict(spec["governor"]))
-        faults = None
-        if spec.get("faults") is not None:
-            from ..faults.plan import FaultPlan
-
-            faults = FaultPlan.from_dict(spec["faults"])
-        arbiter = None
-        if spec.get("arbiter") is not None:
-            from ..runtime.arbiter import ArbiterConfig, PowerArbiter
-
-            arbiter = PowerArbiter(ArbiterConfig.from_dict(spec["arbiter"]))
-        return cls(
-            cluster_spec=(
-                ClusterSpec.from_dict(spec["cluster"])
-                if spec.get("cluster") is not None else None
-            ),
-            network_spec=(
-                NetworkSpec.from_dict(spec["network"])
-                if spec.get("network") is not None else None
-            ),
-            power_params=(
-                PowerModelParams.from_dict(spec["power"])
-                if spec.get("power") is not None else None
-            ),
-            tracer=tracer,
-            keep_segments=spec.get("keep_segments", True),
-            columnar=spec.get("columnar", True),
-            validate=spec.get("validate", True),
-            governor=governor,
-            faults=faults,
-            arbiter=arbiter,
-        )
 
     # -- multi-job lifecycle -------------------------------------------------
     def finish_run(self, end: float) -> None:

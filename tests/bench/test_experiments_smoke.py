@@ -3,7 +3,8 @@ so `pytest tests/` exercises the bench code paths without the full sweeps."""
 
 import pytest
 
-from repro.bench import run_collective_loop, run_plan
+from repro.bench import run_plan
+from repro.runner import SweepCell, execute_cell
 
 SMALL = (64 << 10,)
 
@@ -60,6 +61,15 @@ def test_overheads_smoke():
 
 
 def test_run_collective_loop_iterations():
-    one = run_collective_loop("bcast", 64 << 10, 16, iterations=1, keep_segments=False)
-    three = run_collective_loop("bcast", 64 << 10, 16, iterations=3, keep_segments=False)
+    """The collective cell's OSU loop: three back-to-back calls take
+    about three times one."""
+
+    def loop(iterations):
+        return execute_cell(SweepCell(
+            experiment="smoke", kind="collective",
+            params={"op": "bcast", "nbytes": 64 << 10, "n_ranks": 16,
+                    "iterations": iterations},
+        ))
+
+    one, three = loop(1), loop(3)
     assert three.duration_s == pytest.approx(3 * one.duration_s, rel=0.05)

@@ -12,7 +12,6 @@ from repro import (
     SimSession,
     Straggler,
     TransitionJitter,
-    use_faults,
 )
 from repro.mpi.job import run_collective_once
 from repro.sim import RecordingTracer
@@ -176,16 +175,16 @@ class TestDeterminismAndIsolation:
         assert session.net.fabric.link("nic_up:0").fault_factor == 1.0
 
     def test_ambient_scope_reaches_inner_jobs(self):
+        """A job-level plan reaches the job's own session and reports
+        every perturbed compute call."""
         plan = FaultPlan(seed=5, injectors=(
             Straggler(multiplier=1.5, fraction=1.0),
         ))
-        with use_faults(plan) as scope:
-            job = MpiJob(8)
-            assert job.faults is not None
-            job.run(_compute_program(1e-4))
-        assert len(scope.reports) == 1
-        assert scope.reports[0].straggled_calls == 8
-        assert MpiJob(8).faults is None  # scope closed
+        job = MpiJob(8, faults=plan)
+        assert job.faults is not None
+        job.run(_compute_program(1e-4))
+        assert job.faults.report().straggled_calls == 8
+        assert MpiJob(8).faults is None  # no plan, no state
 
     def test_adopted_session_rejects_job_level_plan(self):
         session = SimSession()

@@ -1,12 +1,10 @@
-"""Warm-worker path: substrate cache, hermetic cells, instrumented sweeps.
+"""Warm-worker path: substrate cache and instrumented sweeps.
 
 The tentpole claims of the one-execution-path refactor:
 
 * the per-process substrate cache rebuilds the frozen
   (cluster, network, power) spec triple at most once per unique
   signature, however many cells share it;
-* ``execute_cell`` is hermetic — ambient ``use_governor``/``use_faults``
-  scopes in the calling process never leak into a cell;
 * governed and faulted cells flow through ``run_cells`` with their
   configs reconstructed in-worker, and ``jobs=4``, ``jobs=1`` and a
   warm-cache rerun produce byte-identical results *including* the
@@ -83,23 +81,6 @@ def test_substrate_counters_reach_stats():
               stats=stats)
     assert stats.substrate_misses == 1
     assert stats.substrate_hits == 1
-
-
-# -- hermetic execution -----------------------------------------------
-def test_execute_cell_shadows_ambient_scopes():
-    """A cell without governor/fault params must simulate none, even
-    when the calling process has ambient scopes active."""
-    from repro.faults import parse_fault_spec, use_faults
-    from repro.runtime import GovernorConfig, use_governor
-
-    cell = _collective(1 << 10)
-    bare = execute_cell(cell)
-    with use_governor(GovernorConfig()), \
-            use_faults(parse_fault_spec("degrade:factor=0.5", seed=1)):
-        shadowed = execute_cell(cell)
-    assert shadowed.governor is None
-    assert shadowed.faults is None
-    assert _dicts([shadowed]) == _dicts([bare])
 
 
 # -- instrumented cells through every layer ---------------------------

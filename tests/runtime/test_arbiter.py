@@ -1,6 +1,8 @@
 """Cluster power-budget arbiter tests: config round-trip, uniform cap
-enforcement, slack-driven redistribution across co-scheduled jobs,
-exact per-job energy attribution, and the ambient scope."""
+enforcement, slack-driven redistribution across co-scheduled jobs, and
+exact per-job energy attribution."""
+
+import math
 
 import pytest
 
@@ -10,8 +12,6 @@ from repro.runtime import (
     ArbiterConfig,
     ArbiterPolicy,
     PowerArbiter,
-    ambient_arbiter_scope,
-    use_arbiter,
 )
 from repro.sim.session import SimSession
 
@@ -41,17 +41,24 @@ def _single_job(arbiter=None, cap_w=None):
     )
 
 
-def _two_job_session(policy, cap_w=SPEC.nodes * CAP_PER_NODE_W):
+#: (n_ranks, node_offset) of the communication job and the compute job.
+#: TILED covers every node; IDLE_NODE leaves node 2 unused.
+TILED = ((2 * CORES_PER_NODE, 0), (2 * CORES_PER_NODE, 2))
+IDLE_NODE = ((2 * CORES_PER_NODE, 0), (CORES_PER_NODE, 3))
+
+
+def _two_job_session(policy, cap_w=SPEC.nodes * CAP_PER_NODE_W, layout=TILED):
     arbiter = PowerArbiter(ArbiterConfig(
         policy=ArbiterPolicy(policy), power_cap_w=cap_w,
     ))
     session = SimSession(cluster_spec=SPEC, arbiter=arbiter)
-    comm = MpiJob(2 * CORES_PER_NODE, session=session, node_offset=0)
-    compute = MpiJob(2 * CORES_PER_NODE, session=session, node_offset=2)
+    (comm_ranks, comm_node), (compute_ranks, compute_node) = layout
+    comm = MpiJob(comm_ranks, session=session, node_offset=comm_node)
+    compute = MpiJob(compute_ranks, session=session, node_offset=compute_node)
     comm.launch(_comm_program)
     compute.launch(_compute_program)
     results = session.run_jobs([comm, compute])
-    return session, results
+    return session, results, [comm, compute]
 
 
 # -- config ------------------------------------------------------------------
@@ -118,7 +125,7 @@ def test_job_rejects_arbiter_with_adopted_session():
 
 # -- redistribution across co-scheduled jobs ---------------------------------
 def test_redistribute_donates_comm_slack_to_compute_job():
-    session, results = _two_job_session("redistribute")
+    session, results, _ = _two_job_session("redistribute")
     report = session.arbiter.report()
     assert report.ticks > 0
     assert report.rebalances > 0
@@ -130,14 +137,14 @@ def test_redistribute_donates_comm_slack_to_compute_job():
 
 
 def test_redistribute_beats_uniform_makespan_at_equal_cap():
-    _, uniform = _two_job_session("uniform")
-    _, redis = _two_job_session("redistribute")
+    _, uniform, _ = _two_job_session("uniform")
+    _, redis, _ = _two_job_session("redistribute")
     assert max(r.duration_s for r in redis) < max(r.duration_s for r in uniform)
 
 
 @pytest.mark.parametrize("policy", ["uniform", "redistribute"])
 def test_per_job_attribution_sums_to_accountant_total(policy):
-    session, results = _two_job_session(policy)
+    session, results, _ = _two_job_session(policy)
     attributed = sum(r.energy_j for r in results)
     assert attributed + session.residual_energy_j == \
         session.accountant.total_energy_j()
@@ -146,6 +153,37 @@ def test_per_job_attribution_sums_to_accountant_total(policy):
     # float rounding of the subtraction).
     assert all(r.energy_j > 0 for r in results)
     assert session.residual_energy_j >= -1e-9
+
+
+@pytest.mark.parametrize("layout", [TILED, IDLE_NODE], ids=["tiled", "idle-node"])
+@pytest.mark.parametrize("policy", ["uniform", "redistribute"])
+def test_residual_matches_independent_idle_energy(policy, layout):
+    """The residual is ``total - attributed`` in the session; here it is
+    recomputed from the idle hardware alone: the energy of every core no
+    job binds plus the base draw of every node no job uses."""
+    session, _, jobs = _two_job_session(policy, layout=layout)
+    acct = session.accountant
+    bound = [core for job in jobs for core in job.affinity._rank_to_core]
+    bound_ids = {core.core_id for core in bound}
+    idle_cores_j = sum(
+        acct.core_energy_j(core.core_id)
+        for core in session.cluster.cores if core.core_id not in bound_ids
+    )
+    idle_nodes = SPEC.nodes - len({core.node_id for core in bound})
+    idle_base_j = (
+        session.power_model.params.node_base_w
+        * idle_nodes * (acct.finalized_at - acct.start_time)
+    )
+    independent = idle_cores_j + idle_base_j
+    total = acct.total_energy_j()
+    # The two sums group the same float additions differently; a few ulp
+    # of the total bounds the rounding (1 ulp is what is observed).
+    assert abs(independent - session.residual_energy_j) <= 4 * math.ulp(total)
+    if layout is TILED:
+        assert independent == 0.0
+    else:
+        assert idle_nodes == 1
+        assert independent > 0.0
 
 
 def test_run_jobs_single_job_matches_plain_run():
@@ -172,24 +210,13 @@ def test_run_jobs_requires_launched_jobs():
         session.run_jobs([job])
 
 
-# -- ambient scope -----------------------------------------------------------
+# -- reports -----------------------------------------------------------------
 def test_ambient_scope_arbiters_jobs_and_collects_reports():
+    """An explicit arbiter caps the job it is handed to and reports one
+    clamp per node."""
     config = ArbiterConfig(power_cap_w=SPEC.nodes * CAP_PER_NODE_W)
-    assert ambient_arbiter_scope() is None
-    with use_arbiter(config) as scope:
-        assert ambient_arbiter_scope() is scope
-        job = _single_job()
-        assert job.session.arbiter is not None
-        job.run(_compute_program)
-    assert ambient_arbiter_scope() is None
-    assert len(scope.reports) == 1
-    assert scope.reports[0].freq_changes == SPEC.nodes
-
-
-def test_use_arbiter_none_shadows_outer_scope():
-    config = ArbiterConfig(power_cap_w=SPEC.nodes * CAP_PER_NODE_W)
-    with use_arbiter(config):
-        with use_arbiter(None):
-            assert ambient_arbiter_scope() is None
-            job = _single_job()
-            assert job.session.arbiter is None
+    arbiter = PowerArbiter(config)
+    job = _single_job(arbiter=arbiter)
+    assert job.session.arbiter is arbiter
+    job.run(_compute_program)
+    assert arbiter.report().freq_changes == SPEC.nodes

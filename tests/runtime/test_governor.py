@@ -1,6 +1,6 @@
 """Governor policy tests: determinism guard, countdown drops/restores,
-predictive pre-scaling, traffic restores, horizon interaction and the
-ambient scope."""
+predictive pre-scaling, traffic restores, horizon interaction and
+report merging."""
 
 import pytest
 
@@ -12,9 +12,7 @@ from repro.runtime import (
     Governor,
     GovernorConfig,
     GovernorPolicy,
-    ambient_governor_scope,
     merge_reports,
-    use_governor,
 )
 from repro.sim.session import SimSession
 
@@ -256,26 +254,17 @@ def test_job_rejects_governor_with_adopted_session():
 
 
 def test_ambient_scope_governs_every_job_and_collects_reports():
+    """One governor per job, from one config; the per-job reports merge
+    into the one-line summary the CLI prints."""
     config = GovernorConfig(policy=GovernorPolicy.COUNTDOWN, theta_s=50e-6)
-    assert ambient_governor_scope() is None
-    with use_governor(config) as scope:
-        assert ambient_governor_scope() is scope
-        _run(None)
-        _run(None)
-    assert ambient_governor_scope() is None
-    assert len(scope.reports) == 2
-    assert all(r.policy == "countdown" for r in scope.reports)
-    merged = merge_reports(scope.reports)
-    assert merged.drops == sum(r.drops for r in scope.reports)
+    governors = [Governor(config), Governor(config)]
+    for gov in governors:
+        _run(gov)
+    reports = [gov.report() for gov in governors]
+    assert all(r.policy == "countdown" for r in reports)
+    merged = merge_reports(reports)
+    assert merged.drops == sum(r.drops for r in reports)
     assert merged.drops > 0
-
-
-def test_explicit_governor_wins_over_ambient_scope():
-    explicit = Governor(GovernorConfig(policy=GovernorPolicy.NONE))
-    with use_governor(GovernorConfig(policy=GovernorPolicy.COUNTDOWN)) as scope:
-        session = SimSession(cluster_spec=SPEC, governor=explicit)
-    assert session.governor is explicit
-    assert scope.reports == []
 
 
 # -- run(until) interaction (ISSUE satellite 2) ------------------------------
