@@ -11,7 +11,7 @@ machine-dependent; the asserted properties are orderings and exactness):
   horizon — identical bytes delivered — so the wall-clock gap is pure
   kernel overhead.
 * **Vectorized vs scalar kernel**: the same alltoall run to *completion*
-  under both fabric kernels (``NetworkSpec(vectorized=...)``), serialized
+  under both fabric kernels (``VectorFabric`` and ``ScalarFabric``), serialized
   (one message per rank in flight) and windowed (4 outstanding rounds per
   rank — how real MPI alltoalls post, and the contended regime the paper
   studies).  The kernels must agree byte-for-byte; the windowed speedup
@@ -26,8 +26,10 @@ import time
 
 from repro.bench.report import format_table
 from repro.network import NetworkSpec
-from repro.network.fabric import Fabric
+from repro.network.fabric import ScalarFabric
+from repro.network.kernel import VectorFabric
 from repro.sim import Environment
+from tests.oracles import FullRecomputeFabric
 
 NODES = 64
 RANKS_PER_NODE = 8
@@ -50,11 +52,12 @@ def _build(incremental: bool):
 
     Pinned to the scalar kernel: incremental-vs-full re-rating is a
     property of the scalar object-graph re-rater (the vector kernel
-    batches whole admission waves instead).
+    batches whole admission waves instead); the full-recompute mode is
+    the test-side ``FullRecomputeFabric``.
     """
     env = Environment()
-    fabric = Fabric(
-        env, NetworkSpec(incremental_rerate=incremental, vectorized=False)
+    fabric = (ScalarFabric if incremental else FullRecomputeFabric)(
+        env, NetworkSpec()
     )
     up = [fabric.add_link(f"up:{n}", NIC_BW) for n in range(NODES)]
     dn = [fabric.add_link(f"dn:{n}", NIC_BW) for n in range(NODES)]
@@ -139,7 +142,7 @@ def _build_alltoall(vectorized: bool, window: int):
     """The same 64x512 XOR alltoall with ``window`` outstanding rounds
     per rank, under the chosen fabric kernel."""
     env = Environment()
-    fabric = Fabric(env, NetworkSpec(vectorized=vectorized))
+    fabric = (VectorFabric if vectorized else ScalarFabric)(env, NetworkSpec())
     up = [fabric.add_link(f"up:{n}", NIC_BW) for n in range(NODES)]
     dn = [fabric.add_link(f"dn:{n}", NIC_BW) for n in range(NODES)]
 
@@ -351,7 +354,8 @@ def test_timer_compaction_beats_lazy_only(capsys):
     assert on["wall_s"] < off["wall_s"] * 0.9
 
 
-if __name__ == "__main__":  # standalone: python benchmarks/bench_kernel_scaling.py
+# Standalone: PYTHONPATH=src:. python benchmarks/bench_kernel_scaling.py
+if __name__ == "__main__":
     for run in (run_kernel_scaling, run_timer_churn):
         headers, rows, notes, *_ = run()
         print(format_table(headers, rows))

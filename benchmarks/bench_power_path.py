@@ -13,10 +13,10 @@ accountant listener sees).  The stream is then replayed into two fresh
 accountants:
 
 * **columnar** — ``EnergyAccountant(columnar=True)`` (SegmentStore +
-  memoized ``PowerModel(cached=True)`` + vectorized
-  ``PowerMeter.from_segments``), the default production path;
-* **object** — ``EnergyAccountant(columnar=False)`` with
-  ``PowerModel(cached=False)`` and the scalar
+  the memoized ``PowerModel`` + vectorized
+  ``PowerMeter.from_segments``), the production path;
+* **object** — ``EnergyAccountant(columnar=False)`` with the
+  evaluate-every-call ``tests.oracles.UncachedPowerModel`` and the scalar
   ``PowerMeter.from_segments_reference`` — the pre-optimization path,
   kept as the differential oracle.
 
@@ -47,6 +47,7 @@ from repro.power.model import PowerModel
 from repro.runtime.governor import Governor, GovernorConfig, GovernorPolicy
 from repro.sim.session import SimSession
 from repro.sim.trace import Tracer
+from tests.oracles import UncachedPowerModel
 
 NODES = 64
 RANKS = 512  # 64 nodes x 2 sockets x 4 cores
@@ -139,7 +140,7 @@ def replay(records, end_time, columnar):
     """Feed the mutation stream into a fresh accountant of either mode,
     finalize, and meter-sample — the full power path, nothing else."""
     cluster = Cluster(ClusterSpec.with_shape(NODES))
-    model = PowerModel(cached=columnar)  # oracle keeps the uncached model
+    model = PowerModel() if columnar else UncachedPowerModel()
     meter = PowerMeter(METER_INTERVAL_S)
     # Resolve core handles outside the timed region: the replay measures
     # the power path (listener + finalize + meter), not list indexing.
@@ -327,7 +328,8 @@ def test_power_path_speedup(capsys):
     assert capture["timer_heap_entries"] < capture["timer_slots_armed"] / 2
 
 
-if __name__ == "__main__":  # standalone: python benchmarks/bench_power_path.py
+# Standalone: PYTHONPATH=src:. python benchmarks/bench_power_path.py
+if __name__ == "__main__":
     headers, rows, notes, report = run_power_path()
     print(format_table(headers, rows))
     for note in notes:

@@ -102,7 +102,6 @@ class MpiJob:
         progress: ProgressMode = ProgressMode.POLLING,
         collectives: Optional["CollectiveEngine"] = None,  # noqa: F821
         keep_segments: bool = True,
-        columnar: bool = True,
         session: Optional[SimSession] = None,
         governor: Optional["Governor"] = None,  # noqa: F821
         faults: Optional["FaultPlan"] = None,  # noqa: F821
@@ -118,7 +117,6 @@ class MpiJob:
                 network_spec=network_spec,
                 power_params=power_params,
                 keep_segments=keep_segments,
-                columnar=columnar,
                 governor=governor,
                 faults=faults,
                 arbiter=arbiter,

@@ -1,16 +1,14 @@
 """InfiniBand network model: links, flows, max-min sharing, QDR parameters."""
 
-from .fabric import Fabric, Flow, Link, ScalarFabric, maxmin_rates, vector_kernel_available
+from .fabric import Flow, Link, ScalarFabric, maxmin_rates
 from .ibnet import IBNetwork
 from .params import NetworkSpec
 
 __all__ = [
-    "Fabric",
     "Flow",
     "IBNetwork",
     "Link",
     "NetworkSpec",
     "ScalarFabric",
     "maxmin_rates",
-    "vector_kernel_available",
 ]

@@ -14,31 +14,29 @@ transitively sharing links with a changed link.  Components share no
 links, so their allocations are independent and the untouched ones keep
 their rates (this is exact, not an approximation).  Byte progress is
 settled lazily per flow (each flow remembers when its rate last changed).
-Set ``NetworkSpec(incremental_rerate=False)`` to force the historical
-whole-fabric recompute (the baseline
-``benchmarks/bench_kernel_scaling.py`` measures against).
 
-Two interchangeable kernels implement this contract (DESIGN.md §12):
+Two kernels implement this contract (DESIGN.md §12):
 
+* ``repro.network.kernel.VectorFabric`` — the production kernel, which
+  :class:`~repro.network.ibnet.IBNetwork` builds: flow state lives in
+  slot-addressed numpy arrays, same-timestamp admissions are batched
+  into one deferred water-filling flush, and the single wake-up timer is
+  armed from an ``argmin`` over a persistent finish-time vector instead
+  of per-flow heap pushes.
 * :class:`ScalarFabric` — the reference object-graph implementation:
   per-flow completion predictions on a min-heap guarded by per-flow
-  epochs, one re-rate per fabric event.
-* ``repro.network.kernel.VectorFabric`` — the numpy implementation:
-  flow state lives in slot-addressed arrays, same-timestamp admissions
-  are batched into one deferred water-filling flush, and the single
-  wake-up timer is armed from an ``argmin`` over a persistent
-  finish-time vector instead of per-flow heap pushes.
+  epochs, one re-rate per fabric event.  Tests and benchmarks construct
+  it directly as the differential-testing oracle
+  (``tests/network/test_fabric_vectorized.py``); the whole-fabric
+  recompute baseline ``benchmarks/bench_kernel_scaling.py`` measures
+  against is a test-side subclass of it (``tests/oracles.py``).
 
-``Fabric(env, spec)`` is a factory returning the vector kernel when
-``spec.vectorized`` is true and numpy is importable, else the scalar
-kernel.  Both produce identical per-flow rates and completion times —
-the scalar path is kept as the differential-testing oracle
-(``tests/network/test_fabric_vectorized.py``).  To make that equality
-exact (not approximate), every floating-point fold both kernels share is
-performed in one canonical order: components are walked in flow-admission
-(``seq``) order, water-filling subtracts each link's frozen demand as a
-single summed delta, and due completions are processed in
-``(finish, seq)`` order.
+Both produce identical per-flow rates and completion times.  To make
+that equality exact (not approximate), every floating-point fold both
+kernels share is performed in one canonical order: components are walked
+in flow-admission (``seq``) order, water-filling subtracts each link's
+frozen demand as a single summed delta, and due completions are
+processed in ``(finish, seq)`` order.
 
 This is where the paper's contention parameter ``Cnet`` comes from in our
 reproduction: it is *emergent* — eight ranks per node draining through one
@@ -463,10 +461,7 @@ class ScalarFabric(FabricBase):
             return
         if self._stalled:
             changed_links = list(changed_links) + self._stalled_links()
-        if self.spec.incremental_rerate:
-            component = self._component(changed_links)
-        else:
-            component = list(self._flows)  # admission order == seq order
+        component = self._component(changed_links)
         if not component:
             self._arm_timer()
             return
@@ -579,27 +574,3 @@ class ScalarFabric(FabricBase):
             self._rerate(freed)
         else:
             self._arm_timer()
-
-
-def vector_kernel_available() -> bool:
-    """True when the numpy-backed fabric kernel can be used."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - numpy is a baked-in dep here
-        return False
-    return True
-
-
-def Fabric(env: Environment, spec: NetworkSpec) -> FabricBase:
-    """Build the fabric kernel selected by ``spec``.
-
-    Returns the numpy :class:`~repro.network.kernel.VectorFabric` when
-    ``spec.vectorized`` is true and numpy is importable; otherwise the
-    :class:`ScalarFabric` reference kernel.  Both are drop-in equivalent
-    (identical rates, completion times, and event ordering).
-    """
-    if getattr(spec, "vectorized", True) and vector_kernel_available():
-        from .kernel import VectorFabric
-
-        return VectorFabric(env, spec)
-    return ScalarFabric(env, spec)

@@ -16,7 +16,8 @@ from typing import List, Optional
 
 from ..cluster.topology import Cluster, Node
 from ..sim import Environment, Event
-from .fabric import Fabric, Link
+from .fabric import Link
+from .kernel import VectorFabric
 from .params import NetworkSpec
 
 
@@ -27,7 +28,7 @@ class IBNetwork:
         self.env = env
         self.cluster = cluster
         self.spec = spec or NetworkSpec()
-        self.fabric = Fabric(env, self.spec)
+        self.fabric = VectorFabric(env, self.spec)
         self._switch: Optional[Link] = None
         #: Per-node HCA utilisation factor for interrupt-driven ("blocking")
         #: progression: sleeping ranks cannot keep the HCA queues full, so

@@ -96,21 +96,6 @@ class NetworkSpec:
     #: Per-flow CPU pipeline feed cap at fmax/T0 (B/s).
     cpu_feed_bw: float = 8.0e9
 
-    # -- fabric kernel -------------------------------------------------------
-    #: Re-run water-filling only over the connected component of flows
-    #: affected by a change (exact — components share no links).  False
-    #: forces the historical whole-fabric recompute on every event; only
-    #: useful for benchmarking the kernel itself.
-    incremental_rerate: bool = True
-    #: Use the numpy array kernel (``repro.network.kernel.VectorFabric``):
-    #: flow state in slot-addressed arrays, same-timestamp admissions
-    #: batched into one water-filling flush, completions from a single
-    #: finish-time vector.  False selects the scalar object-graph kernel,
-    #: kept as the differential-testing oracle — both produce identical
-    #: rates and completion times (DESIGN.md §12).  Ignored (scalar
-    #: fallback) when numpy is unavailable.
-    vectorized: bool = True
-
     # -- blocking progression mode (§II-B) ----------------------------------
     #: How long a blocking-mode process spins before yielding the CPU (s).
     spin_window: float = 20e-6
@@ -136,18 +121,10 @@ class NetworkSpec:
 
     def to_dict(self) -> dict:
         """Plain-data form for sweep cells and cache keys (flat floats/
-        ints/bools; ``inf`` survives the JSON round trip as ``Infinity``).
-
-        ``vectorized`` is deliberately excluded: it selects an execution
-        kernel, not a model parameter — both kernels produce identical
-        results (DESIGN.md §12), so a result cache primed under either
-        stays valid under the other.
-        """
+        ints/bools; ``inf`` survives the JSON round trip as ``Infinity``)."""
         from dataclasses import asdict
 
-        data = asdict(self)
-        del data["vectorized"]
-        return data
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "NetworkSpec":

@@ -11,13 +11,14 @@ PowerMeter` can reconstruct the kW-vs-time series the paper plots.
 
 Two storage backends share one accounting discipline (DESIGN.md §13):
 
-* **columnar** (default) — segments append into a structure-of-arrays
+* **columnar** (default, the only one production builds) — segments
+  append into a structure-of-arrays
   :class:`~repro.power.timeline.SegmentStore`; ``segments`` is a lazy
   :class:`~repro.power.timeline.SegmentView` that still yields
   :class:`PowerSegment` objects for existing callers.
 * **object** (``columnar=False``) — the original per-segment
-  ``PowerSegment`` list, kept verbatim as the differential-testing oracle
-  (mirroring ``NetworkSpec(vectorized=False)`` for the fabric kernel).
+  ``PowerSegment`` list, kept verbatim as the differential-testing
+  oracle; tests and benchmarks construct it directly.
 
 Both paths evaluate power, accumulate energy and order segments
 identically, so their results are byte-identical — a property the
@@ -89,10 +90,10 @@ class EnergyAccountant:
             self._segment_list = []
             self._on_change = self._on_change_object
             self._last_list = []
-        # Hot-path bindings: the model's memo dict (None when the model is
-        # uncached) lets the listener resolve a repeated state's power with
-        # one dict probe instead of a method call; ``_core_power`` is the
-        # slow path that also fills that memo.
+        # Hot-path bindings: the model's memo dict lets the listener
+        # resolve a repeated state's power with one dict probe instead of
+        # a method call; ``_core_power`` is the slow path that also fills
+        # that memo.
         self._model_cache = self.model._cache
         self._core_power = self.model.core_power
         # With a store, per-core energy is derived from the columns on
@@ -145,14 +146,10 @@ class EnergyAccountant:
                     "(a finalized accountant must not silently extend its "
                     "segments)"
                 )
-            cache = self._model_cache
-            if cache is not None:
-                power = cache.get(
-                    (core.frequency_ghz, core.tstate, core.activity)
-                )
-                if power is None:
-                    power = self._core_power(core)
-            else:
+            power = self._model_cache.get(
+                (core.frequency_ghz, core.tstate, core.activity)
+            )
+            if power is None:
                 power = self._core_power(core)
             buf = self._stage_buf
             if buf is not None:

@@ -100,7 +100,6 @@ class SimSession:
         power_params: Optional["PowerModelParams"] = None,
         tracer: Optional[Tracer] = None,
         keep_segments: bool = True,
-        columnar: bool = True,
         validate: bool = True,
         governor: Optional["Governor"] = None,
         faults: Optional["FaultPlan"] = None,
@@ -144,8 +143,7 @@ class SimSession:
         self.net: "IBNetwork" = IBNetwork(self.env, self.cluster, self.network_spec)
         self.power_model: "PowerModel" = PowerModel(power_params)
         self.accountant: "EnergyAccountant" = EnergyAccountant(
-            self.cluster, self.power_model,
-            keep_segments=keep_segments, columnar=columnar,
+            self.cluster, self.power_model, keep_segments=keep_segments,
         )
         #: Live fault-injection state (see :mod:`repro.faults`), or None.
         #: Bound before the governor so policies always see the perturbed

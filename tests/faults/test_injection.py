@@ -174,7 +174,7 @@ class TestDeterminismAndIsolation:
         assert session.faults is None
         assert session.net.fabric.link("nic_up:0").fault_factor == 1.0
 
-    def test_ambient_scope_reaches_inner_jobs(self):
+    def test_job_level_plan_perturbs_its_own_session(self):
         """A job-level plan reaches the job's own session and reports
         every perturbed compute call."""
         plan = FaultPlan(seed=5, injectors=(

@@ -4,14 +4,15 @@ import math
 
 import pytest
 
-from repro.network import Fabric, NetworkSpec
+from repro.network import NetworkSpec
 from repro.network.fabric import Flow, Link, maxmin_rates
+from repro.network.kernel import VectorFabric
 from repro.sim import Environment
 
 
 def make_fabric(congestion: float = 0.0):
     env = Environment()
-    fabric = Fabric(env, NetworkSpec(flow_congestion=congestion))
+    fabric = VectorFabric(env, NetworkSpec(flow_congestion=congestion))
     return env, fabric
 
 

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network import NetworkSpec
-from repro.network.fabric import Fabric, Flow, Link, maxmin_rates
+from repro.network.fabric import Flow, Link, maxmin_rates
+from repro.network.kernel import VectorFabric
 from repro.sim import Environment
+from tests.oracles import FullRecomputeFabric
 
 
 class _Ev:
@@ -104,7 +106,7 @@ def test_maxmin_fairness_on_shared_bottleneck(problem):
 @settings(max_examples=50, deadline=None)
 def test_fabric_conserves_bytes(sizes, stagger_us):
     env = Environment()
-    fabric = Fabric(env, NetworkSpec())
+    fabric = VectorFabric(env, NetworkSpec())
     link = fabric.add_link("l", 1e9)
 
     def proc(env, i, nbytes):
@@ -127,7 +129,7 @@ def test_fabric_schedule_deterministic(seeds):
 
     def run_once():
         env = Environment()
-        fabric = Fabric(env, NetworkSpec())
+        fabric = VectorFabric(env, NetworkSpec())
         links = [fabric.add_link(f"l{i}", 1e9) for i in range(2)]
         times = []
 
@@ -146,10 +148,10 @@ def test_fabric_schedule_deterministic(seeds):
     assert run_once() == run_once()
 
 
-def _schedule_times(seeds, n_links=4, *, incremental=True, tracer=None):
+def _schedule_times(seeds, n_links=4, *, fabric_cls=VectorFabric, tracer=None):
     """Run a fixed multi-link transfer schedule; return completion times."""
     env = Environment(tracer=tracer)
-    fabric = Fabric(env, NetworkSpec(incremental_rerate=incremental))
+    fabric = fabric_cls(env, NetworkSpec())
     links = [fabric.add_link(f"l{i}", 1e9) for i in range(n_links)]
     times = []
 
@@ -177,8 +179,8 @@ def _schedule_times(seeds, n_links=4, *, incremental=True, tracer=None):
 def test_incremental_rerate_matches_full_recompute(seeds):
     """The component-local incremental re-rater is exact: completion times
     match whole-fabric recomputation on every schedule."""
-    inc, fab_inc = _schedule_times(seeds, incremental=True)
-    full, fab_full = _schedule_times(seeds, incremental=False)
+    inc, fab_inc = _schedule_times(seeds)
+    full, fab_full = _schedule_times(seeds, fabric_cls=FullRecomputeFabric)
     assert len(inc) == len(full)
     for (i, t_inc), (j, t_full) in zip(sorted(inc), sorted(full)):
         assert i == j
@@ -217,7 +219,7 @@ def test_no_flow_ever_exceeds_cap_or_capacity(seeds):
     """Runtime invariant: at every re-rating instant, each in-flight flow's
     rate respects its cpu cap and no link is oversubscribed."""
     env = Environment()
-    fabric = Fabric(env, NetworkSpec())
+    fabric = VectorFabric(env, NetworkSpec())
     links = [fabric.add_link(f"l{i}", 1e9) for i in range(3)]
 
     def check(timer):

@@ -9,14 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network import NetworkSpec
-from repro.network.fabric import (
-    Fabric,
-    Flow,
-    Link,
-    ScalarFabric,
-    maxmin_rates,
-    vector_kernel_available,
-)
+from repro.network.fabric import Flow, Link, ScalarFabric, maxmin_rates
 from repro.network.kernel import VectorFabric, maxmin_rates_vectorized
 from repro.sim import Environment
 
@@ -27,40 +20,6 @@ class _Ev:
 
 def _close(a, b, rel=1e-9):
     return math.isclose(a, b, rel_tol=rel, abs_tol=1e-12)
-
-
-# ------------------------------------------------------- factory / fallback
-def test_factory_selects_kernel_by_spec():
-    env = Environment()
-    assert isinstance(Fabric(env, NetworkSpec()), VectorFabric)
-    assert isinstance(Fabric(env, NetworkSpec(vectorized=True)), VectorFabric)
-    assert isinstance(
-        Fabric(env, NetworkSpec(vectorized=False)), ScalarFabric
-    )
-
-
-def test_factory_falls_back_to_scalar_without_numpy(monkeypatch):
-    import repro.network.fabric as fabric_mod
-
-    monkeypatch.setattr(fabric_mod, "vector_kernel_available", lambda: False)
-    env = Environment()
-    assert isinstance(
-        fabric_mod.Fabric(env, NetworkSpec(vectorized=True)), ScalarFabric
-    )
-
-
-def test_vector_kernel_is_available_here():
-    assert vector_kernel_available()
-
-
-def test_vectorized_flag_stays_out_of_cache_keys():
-    # Kernel selection is an execution detail: both kernels produce
-    # identical results, so sweep cells and cache keys must not depend
-    # on it (a warm store primed under either kernel stays valid).
-    d = NetworkSpec(vectorized=False).to_dict()
-    assert "vectorized" not in d
-    assert d == NetworkSpec(vectorized=True).to_dict()
-    assert NetworkSpec.from_dict(d).vectorized is True
 
 
 # ------------------------------------------- maxmin differential (unit-ish)
@@ -175,12 +134,16 @@ def fabric_scenarios(draw):
     return link_caps, flows, congestion, fault
 
 
-def _run_scenario(vectorized, link_caps, flows, congestion, fault):
+def _fabric(vectorized, env, spec):
+    return (VectorFabric if vectorized else ScalarFabric)(env, spec)
+
+
+def _run_scenario(vectorized, link_caps, flows, congestion, fault,
+                  small_batch=VectorFabric.SMALL_BATCH):
     env = Environment()
-    fabric = Fabric(
-        env,
-        NetworkSpec(flow_congestion=congestion, vectorized=vectorized),
-    )
+    fabric = _fabric(vectorized, env, NetworkSpec(flow_congestion=congestion))
+    if vectorized:
+        fabric.SMALL_BATCH = small_batch
     links = [fabric.add_link(f"l{i}", cap) for i, cap in enumerate(link_caps)]
     done = {}
 
@@ -218,14 +181,20 @@ def _run_scenario(vectorized, link_caps, flows, congestion, fault):
 @settings(max_examples=60, deadline=None)
 def test_full_fabric_runs_identical_across_kernels(scenario):
     s_done, s_bytes, s_link = _run_scenario(False, *scenario)
-    v_done, v_bytes, v_link = _run_scenario(True, *scenario)
-    # Per-flow completion times are bit-identical across kernels.
-    assert s_done == v_done
-    # Aggregate byte counters may differ only by fold-order ulps.
-    assert _close(s_bytes, v_bytes, rel=1e-12)
-    assert set(s_link) == set(v_link)
-    for name in s_link:
-        assert _close(s_link[name], v_link[name], rel=1e-12), name
+    # The scenarios stay far below the vector kernel's SMALL_BATCH, so
+    # the run with SMALL_BATCH = 0 is what drives the batched numpy
+    # water-filler (``_apply_batch``) against the scalar reference.
+    for small_batch in (VectorFabric.SMALL_BATCH, 0):
+        v_done, v_bytes, v_link = _run_scenario(
+            True, *scenario, small_batch=small_batch
+        )
+        # Per-flow completion times are bit-identical across kernels.
+        assert s_done == v_done, small_batch
+        # Aggregate byte counters may differ only by fold-order ulps.
+        assert _close(s_bytes, v_bytes, rel=1e-12), small_batch
+        assert set(s_link) == set(v_link)
+        for name in s_link:
+            assert _close(s_link[name], v_link[name], rel=1e-12), name
 
 
 # --------------------------------------------------------- zero-rate stall
@@ -235,9 +204,7 @@ def test_starved_flow_survives_and_resumes(vectorized):
     be dropped (or deadlock the fabric): it parks, survives its peer's
     completion re-rate, and resumes when capacity returns."""
     env = Environment()
-    fabric = Fabric(
-        env, NetworkSpec(flow_congestion=0.0, vectorized=vectorized)
-    )
+    fabric = _fabric(vectorized, env, NetworkSpec(flow_congestion=0.0))
     a = fabric.add_link("a", 1000.0)
     b = fabric.add_link("b", 1000.0)
     done = {}
@@ -279,9 +246,7 @@ def test_all_flows_zero_rated_is_not_a_deadlock(vectorized):
     """Historically the scalar kernel raised 'fabric deadlock' when a
     re-rate left every component flow at zero rate."""
     env = Environment()
-    fabric = Fabric(
-        env, NetworkSpec(flow_congestion=0.0, vectorized=vectorized)
-    )
+    fabric = _fabric(vectorized, env, NetworkSpec(flow_congestion=0.0))
     lk = fabric.add_link("l", 100.0)
     done = {}
 
@@ -310,9 +275,7 @@ def test_all_flows_zero_rated_is_not_a_deadlock(vectorized):
 @pytest.mark.parametrize("vectorized", [False, True])
 def test_link_bytes_settle_at_delivery_not_at_start(vectorized):
     env = Environment()
-    fabric = Fabric(
-        env, NetworkSpec(flow_congestion=0.0, vectorized=vectorized)
-    )
+    fabric = _fabric(vectorized, env, NetworkSpec(flow_congestion=0.0))
     lk = fabric.add_link("l", 1000.0)
 
     def sender(env, start, nbytes):

@@ -1,6 +1,7 @@
 """Columnar power timeline: SegmentStore/SegmentView units, the
 columnar-vs-object differential (DESIGN.md §13), and meter regressions."""
 
+import functools
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.power import (
     SegmentStore,
     SegmentView,
 )
+from tests.oracles import UncachedPowerModel
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +104,8 @@ def _dual_accountants():
     """One cluster observed by both backends at once: every mutation
     notifies the columnar accountant and the object oracle back to back."""
     cluster = Cluster(ClusterSpec.with_shape(1))  # 8 cores
-    columnar = EnergyAccountant(cluster, PowerModel(cached=True),
-                                columnar=True)
-    oracle = EnergyAccountant(cluster, PowerModel(cached=False),
-                              columnar=False)
+    columnar = EnergyAccountant(cluster, PowerModel(), columnar=True)
+    oracle = EnergyAccountant(cluster, UncachedPowerModel(), columnar=False)
     return cluster, columnar, oracle
 
 
@@ -223,10 +223,12 @@ def test_true_partial_final_bucket_still_reported():
     assert trace.power_w == pytest.approx([100.0, 100.0, 100.0])
 
 
-def test_governed_faulted_job_identical_across_backends():
+def test_governed_faulted_job_identical_across_backends(monkeypatch):
     """End to end: a countdown-governed, fault-perturbed job produces the
     same makespan, energy, segment log and sampled trace on both
-    accounting backends."""
+    accounting backends (the session builds the object oracle when the
+    accountant class it imports at construction is swapped for it)."""
+    import repro.power.accounting as accounting
     from repro.faults.plan import parse_fault_spec
     from repro.mpi.job import MpiJob
     from repro.runtime.governor import (
@@ -236,19 +238,24 @@ def test_governed_faulted_job_identical_across_backends():
     )
 
     def run(columnar):
-        job = MpiJob(
-            32,
-            cluster_spec=ClusterSpec.with_shape(4),
-            governor=Governor(
-                GovernorConfig(policy=GovernorPolicy.COUNTDOWN)
-            ),
-            faults=parse_fault_spec(
-                "degrade:factor=0.6,frac=0.25;"
-                "noise:period=500us,pulse=20us,frac=0.25",
-                seed=3,
-            ),
-            columnar=columnar,
-        )
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                accounting, "EnergyAccountant",
+                functools.partial(accounting.EnergyAccountant,
+                                  columnar=columnar),
+            )
+            job = MpiJob(
+                32,
+                cluster_spec=ClusterSpec.with_shape(4),
+                governor=Governor(
+                    GovernorConfig(policy=GovernorPolicy.COUNTDOWN)
+                ),
+                faults=parse_fault_spec(
+                    "degrade:factor=0.6,frac=0.25;"
+                    "noise:period=500us,pulse=20us,frac=0.25",
+                    seed=3,
+                ),
+            )
 
         def program(ctx):
             yield from ctx.alltoall(8 << 10)
@@ -260,6 +267,7 @@ def test_governed_faulted_job_identical_across_backends():
     assert col.duration_s == obj.duration_s
     assert col.energy_j == obj.energy_j
     assert isinstance(col.accountant.segments, SegmentView)
+    assert obj.accountant.segment_store is None  # the object oracle ran
     assert col.accountant.segments == list(obj.accountant.segments)
     meter = PowerMeter(1e-3)
     base_w = (col.accountant.model.params.node_base_w

@@ -2,8 +2,9 @@
 
 For one small cell of each instrumented kind — a governed and faulted
 ``collective``, ``app`` and ``osu`` cell (the osu one also under a
-power-cap arbiter) and one ``multijob`` cell of ``ext-arbiter`` — this
-stores the sha256 of the canonical JSON of ``CellResult.to_dict()``
+power-cap arbiter) and one ``multijob`` cell of ``ext-arbiter`` — plus
+the paper's proposed power-aware alltoall at 96 ranks (large enough to
+drive the fabric's batched water-filler), this stores the sha256 of the canonical JSON of ``CellResult.to_dict()``
 without the host wall time and the observability payload (sorted keys,
 compact separators, floats in repr form).  Equal digests mean
 byte-identical simulated numbers and reports.  A deliberate change of
@@ -23,6 +24,7 @@ from typing import Dict
 import pytest
 
 from repro.bench import CELL_PLANS
+from repro.cluster import ClusterSpec
 from repro.faults import parse_fault_spec
 from repro.runner import SweepCell, execute_cell
 from repro.runtime import ArbiterConfig, ArbiterPolicy, GovernorConfig, GovernorPolicy
@@ -49,6 +51,12 @@ CELLS: Dict[str, SweepCell] = {
         experiment="digest", kind="collective",
         params={"op": "alltoall", "nbytes": 64 << 10, "n_ranks": 16,
                 "governor": COUNTDOWN, "faults": _faults(DEGRADE_NOISE)},
+    ),
+    "collective/alltoall/proposed/96r": SweepCell(
+        experiment="digest", kind="collective",
+        params={"op": "alltoall", "nbytes": 16 << 10, "n_ranks": 96,
+                "mode": "proposed",
+                "cluster": ClusterSpec.with_shape(12).to_dict()},
     ),
     "app/nas-ft/32r": SweepCell(
         experiment="digest", kind="app",

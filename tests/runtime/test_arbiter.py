@@ -211,7 +211,7 @@ def test_run_jobs_requires_launched_jobs():
 
 
 # -- reports -----------------------------------------------------------------
-def test_ambient_scope_arbiters_jobs_and_collects_reports():
+def test_explicit_arbiter_caps_job_with_one_clamp_per_node():
     """An explicit arbiter caps the job it is handed to and reports one
     clamp per node."""
     config = ArbiterConfig(power_cap_w=SPEC.nodes * CAP_PER_NODE_W)

@@ -253,7 +253,7 @@ def test_job_rejects_governor_with_adopted_session():
         MpiJob(RANKS, session=session, governor=gov)
 
 
-def test_ambient_scope_governs_every_job_and_collects_reports():
+def test_per_job_governors_merge_into_one_summary():
     """One governor per job, from one config; the per-job reports merge
     into the one-line summary the CLI prints."""
     config = GovernorConfig(policy=GovernorPolicy.COUNTDOWN, theta_s=50e-6)
