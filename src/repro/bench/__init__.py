@@ -16,7 +16,7 @@ from .experiments import (
     instrument_cells,
     use_runner,
 )
-from .export import experiment_to_dict, load_json, save_governor_json, save_json
+from .export import experiment_to_dict, load_json, save_json
 from .profile import JobSample, SelfProfile
 from .regression import RegressionError, check_against_baseline, refresh_baselines
 from .report import (
@@ -50,7 +50,6 @@ __all__ = [
     "render_sweep_report",
     "run_plan",
     "RunnerScope",
-    "save_governor_json",
     "save_json",
     "save_report",
     "SweepPlan",

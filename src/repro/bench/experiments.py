@@ -41,6 +41,7 @@ from ..models import (
     t_bcast_scatter_allgather,
 )
 from ..mpi.p2p import ProgressMode
+from ..obs.metrics import MetricsRegistry
 from ..runner import CellResult, SweepCell, run_cells
 from .report import bytes_label
 
@@ -80,14 +81,16 @@ class SweepPlan:
 class RunnerScope:
     """Ambient runner configuration installed by :func:`use_runner`.
 
-    ``governor``/``faults`` are plain-data configs (``to_dict()`` form)
-    overlaid onto every plan cell that does not already pin its own —
-    the CLI's ``--governor``/``--faults`` flags become *plan parameters*
-    this way, so instrumented sweeps flow through the exact same cached
-    parallel path as everything else.  The per-run report dicts harvested
-    from the overlaid cells accumulate on ``governor_reports`` /
-    ``fault_reports`` (they round-trip the result cache, so a warm-cache
-    rerun reports identically to a cold one).
+    ``governor``/``faults``/``arbiter`` are plain-data configs
+    (``to_dict()`` form) overlaid onto every plan cell that does not
+    already pin its own — the CLI's ``--governor``/``--faults``/
+    ``--power-cap`` flags become *plan parameters* this way, so
+    instrumented sweeps flow through the exact same cached parallel path
+    as everything else.  The per-run report of every overlaid cell is
+    folded into ``reports`` (:meth:`MetricsRegistry.observe_report`,
+    namespaces ``governor``/``faults``/``arbiter``); reports round-trip
+    the result cache, so a warm-cache rerun folds identically to a cold
+    one.
     """
 
     jobs: Optional[int] = None
@@ -97,12 +100,7 @@ class RunnerScope:
     governor: Optional[Dict[str, Any]] = None
     faults: Optional[Dict[str, Any]] = None
     arbiter: Optional[Dict[str, Any]] = None
-    #: True while a use_runner scope is live; report collection only
-    #: happens then (library callers never accumulate unbounded lists).
-    collect: bool = False
-    governor_reports: List[Dict[str, Any]] = field(default_factory=list)
-    fault_reports: List[Dict[str, Any]] = field(default_factory=list)
-    arbiter_reports: List[Dict[str, Any]] = field(default_factory=list)
+    reports: MetricsRegistry = field(default_factory=MetricsRegistry)
 
 
 _RUNNER_SCOPE = RunnerScope()
@@ -116,16 +114,14 @@ def use_runner(jobs=None, cache=None, refresh: bool = False, stats=None,
     """Route every experiment run inside the scope through the parallel
     executor / result cache with these settings.
 
-    Yields the :class:`RunnerScope`; after the body ran, its
-    ``governor_reports``/``fault_reports``/``arbiter_reports`` hold the
-    per-run report dicts of every cell the ``governor``/``faults``/
-    ``arbiter`` overlays touched.
+    Yields the :class:`RunnerScope`; after the body ran, its ``reports``
+    registry holds the folded per-run reports of every cell the
+    ``governor``/``faults``/``arbiter`` overlays touched.
     """
     global _RUNNER_SCOPE
     prev = _RUNNER_SCOPE
     scope = RunnerScope(jobs=jobs, cache=cache, refresh=refresh, stats=stats,
-                        governor=governor, faults=faults, arbiter=arbiter,
-                        collect=True)
+                        governor=governor, faults=faults, arbiter=arbiter)
     _RUNNER_SCOPE = scope
     try:
         yield scope
@@ -138,42 +134,32 @@ def instrument_cells(
     governor: Optional[Dict[str, Any]] = None,
     faults: Optional[Dict[str, Any]] = None,
     arbiter: Optional[Dict[str, Any]] = None,
-) -> Tuple[List[SweepCell], Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]:
+) -> Tuple[List[SweepCell], List[Tuple[str, ...]]]:
     """Overlay governor/fault/arbiter configs onto cells without their own.
 
     A cell whose params already carry a ``governor``/``faults``/
     ``arbiter`` key keeps it — plan-declared instrumentation
     (ext-governor's policy grid, ext-faults' mild column, ext-arbiter's
-    policy columns) always wins over the CLI flags.  Returns the (possibly rebuilt) cells plus the index tuples
-    of cells that received each overlay, so the caller can harvest
-    exactly those reports.
+    policy columns) always wins over the CLI flags.  Returns the
+    (possibly rebuilt) cells plus, per cell, the names of the overlays
+    it received — each name is at once the params key, the
+    :class:`CellResult` report attribute and the ``reports`` namespace,
+    so the caller folds exactly those reports.
     """
-    if governor is None and faults is None and arbiter is None:
-        return cells, (), (), ()
+    configs = {"governor": governor, "faults": faults, "arbiter": arbiter}
     out: List[SweepCell] = []
-    gov_idx: List[int] = []
-    fault_idx: List[int] = []
-    arb_idx: List[int] = []
-    for i, cell in enumerate(cells):
-        params = dict(cell.params)
-        touched = False
-        if governor is not None and "governor" not in params:
-            params["governor"] = governor
-            gov_idx.append(i)
-            touched = True
-        if faults is not None and "faults" not in params:
-            params["faults"] = faults
-            fault_idx.append(i)
-            touched = True
-        if arbiter is not None and "arbiter" not in params:
-            params["arbiter"] = arbiter
-            arb_idx.append(i)
-            touched = True
-        if touched:
+    overlaid: List[Tuple[str, ...]] = []
+    for cell in cells:
+        added = tuple(k for k, v in configs.items()
+                      if v is not None and k not in cell.params)
+        if added:
             cell = SweepCell(experiment=cell.experiment, kind=cell.kind,
-                             params=params, label=cell.label)
+                             params={**cell.params,
+                                     **{k: configs[k] for k in added}},
+                             label=cell.label)
         out.append(cell)
-    return out, tuple(gov_idx), tuple(fault_idx), tuple(arb_idx)
+        overlaid.append(added)
+    return out, overlaid
 
 
 def _run_plan(plan: SweepPlan):
@@ -181,28 +167,20 @@ def _run_plan(plan: SweepPlan):
 
     Instrumented or not, every cell goes through :func:`run_cells`
     (memo > disk cache > warm-worker pool/inline), with any ambient
-    ``--governor``/``--faults`` configs overlaid as cell parameters and
-    reconstructed inside the worker by ``execute_cell``.
+    ``--governor``/``--faults``/``--power-cap`` configs overlaid as cell
+    parameters and reconstructed inside the worker by ``execute_cell``.
     """
     scope = _RUNNER_SCOPE
-    cells, gov_idx, fault_idx, arb_idx = instrument_cells(
+    cells, overlaid = instrument_cells(
         plan.cells, scope.governor, scope.faults, scope.arbiter
     )
     results = run_cells(cells, jobs=scope.jobs, cache=scope.cache,
                         refresh=scope.refresh, stats=scope.stats)
-    if scope.collect:
-        scope.governor_reports.extend(
-            results[i].governor for i in gov_idx
-            if results[i].governor is not None
-        )
-        scope.fault_reports.extend(
-            results[i].faults for i in fault_idx
-            if results[i].faults is not None
-        )
-        scope.arbiter_reports.extend(
-            results[i].arbiter for i in arb_idx
-            if results[i].arbiter is not None
-        )
+    for result, names in zip(results, overlaid):
+        for ns in names:
+            report = getattr(result, ns)
+            if report is not None:
+                scope.reports.observe_report(ns, report)
     return plan.assemble(results)
 
 

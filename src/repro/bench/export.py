@@ -48,36 +48,6 @@ def save_json(
     return path
 
 
-def save_governor_json(
-    reports: Sequence,
-    results_dir: str = "results",
-    filename: str = "governor.json",
-) -> str:
-    """Write the per-run governor telemetry next to the profile output.
-
-    ``reports`` are :class:`repro.runtime.telemetry.GovernorReport`
-    instances (one per governed job); the file carries both the merged
-    totals and the individual runs.  Registered here so ``--profile``
-    CLI runs emit ``results/governor.json`` through the same export
-    layer as the experiment records.
-    """
-    from ..runtime.telemetry import merge_reports
-
-    merged = merge_reports(list(reports))
-    record = {
-        "schema": SCHEMA_VERSION,
-        "kind": "governor",
-        "merged": merged.to_dict() if merged is not None else None,
-        "runs": [report.to_dict() for report in reports],
-    }
-    os.makedirs(results_dir, exist_ok=True)
-    path = os.path.join(results_dir, filename)
-    with open(path, "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
-    return path
-
-
 def load_json(path: str) -> Dict:
     """Load a record written by :func:`save_json` (validates the schema)."""
     with open(path) as fh:

@@ -59,6 +59,19 @@ class JobSample:
     rerate_calls: int
     flows_rerated: int
 
+    @classmethod
+    def from_job(cls, job, result) -> "JobSample":
+        """The sample of one finished ``MpiJob`` run (a JOB_OBSERVERS hook's
+        ``(job, result)`` arguments)."""
+        return cls(
+            n_ranks=job.n_ranks,
+            sim_time_s=result.duration_s,
+            wall_time_s=result.stats.wall_time_s,
+            events_processed=result.stats.events_processed,
+            rerate_calls=result.stats.rerate_calls,
+            flows_rerated=result.stats.flows_rerated,
+        )
+
     @property
     def events_per_s(self) -> float:
         return self.events_processed / self.wall_time_s if self.wall_time_s > 0 else 0.0
@@ -74,16 +87,7 @@ class SelfProfile:
     _tokens: List[Callable] = field(default_factory=list, init=False, repr=False)
 
     def _observe(self, job, result) -> None:
-        self.add_sample(
-            JobSample(
-                n_ranks=job.n_ranks,
-                sim_time_s=result.duration_s,
-                wall_time_s=result.stats.wall_time_s,
-                events_processed=result.stats.events_processed,
-                rerate_calls=result.stats.rerate_calls,
-                flows_rerated=result.stats.flows_rerated,
-            )
-        )
+        self.add_sample(JobSample.from_job(job, result))
 
     def add_sample(self, sample: JobSample) -> None:
         """Record one job sample (direct observation or runner replay)."""

@@ -151,13 +151,15 @@ def render_sweep_report(stats: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_metrics_report(snapshot: dict) -> str:
+def render_metrics_report(snapshot: dict, title: str = "metrics") -> str:
     """Render a metrics snapshot (``repro bench-report --metrics``).
 
     ``snapshot`` is :meth:`repro.obs.metrics.MetricsRegistry.snapshot`
-    output: counters, gauges, and folded time-series stats.
+    output: counters, gauges, and folded time-series stats — the
+    ambient ``--metrics`` registry, or the sweep's folded per-run
+    ``reports``.
     """
-    lines = ["== metrics =="]
+    lines = [f"== {title} =="]
     counters = snapshot.get("counters") or {}
     gauges = snapshot.get("gauges") or {}
     scalar_rows = [(name, counters[name]) for name in sorted(counters)]

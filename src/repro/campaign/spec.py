@@ -373,12 +373,10 @@ def expand(spec: CampaignSpec) -> CampaignPlan:
     raw: List[SweepCell] = []
     for name in sorted(set(spec.experiments)):
         plan = CELL_PLANS[name]()
-        cells, _gov, _fault, _arb = instrument_cells(
-            plan.cells, spec.governor, spec.faults
-        )
+        cells, _ = instrument_cells(plan.cells, spec.governor, spec.faults)
         raw.extend(cells)
     for grid in spec.grids:
-        cells, _gov, _fault, _arb = instrument_cells(
+        cells, _ = instrument_cells(
             _grid_cells(grid, experiment=f"{spec.name}:{grid.name}"),
             spec.governor, spec.faults,
         )

@@ -165,8 +165,10 @@ def _run_sweep(args, experiment: str, plan: SweepPlan, governor=None,
     cells as *cell parameters* (:func:`repro.bench.instrument_cells`);
     workers reconstruct them and the per-run report dicts come back on
     the results — through the memo, the disk cache, or fresh execution
-    alike — onto the returned scope's report lists.  Returns the plan's
-    ``(headers, rows, notes)`` and that :class:`~repro.bench.RunnerScope`.
+    alike — folded into the returned scope's ``reports`` registry, which
+    is also persisted as ``last_sweep.json["reports"]``.  Returns the
+    plan's ``(headers, rows, notes)`` and that
+    :class:`~repro.bench.RunnerScope`.
     """
     from .bench.experiments import _run_plan
     from .obs.metrics import ambient_metrics_registry
@@ -201,6 +203,7 @@ def _run_sweep(args, experiment: str, plan: SweepPlan, governor=None,
     save_sweep_stats(
         stats, cache=cache,
         metrics=registry.snapshot() if registry is not None else None,
+        reports=scope.reports.snapshot(),
     )
     return table, scope
 
@@ -321,42 +324,55 @@ def _run_command(args, out, experiment: str, title: str, plan: SweepPlan) -> int
             return 2
         n = len(snapshot["counters"]) + len(snapshot["gauges"]) + len(snapshot["series"])
         print(f"wrote {n} metrics to {metrics_path}", file=out)
-    if governor is not None and scope.governor_reports:
-        from .runtime import merge_reports
-        from .runtime.telemetry import GovernorReport
+    # Every summary reads the one folded snapshot: a series' n counts
+    # runs, its sum totals the field (counts cast back to int).
+    series = scope.reports.snapshot()["series"]
 
-        reports = [GovernorReport(**d) for d in scope.governor_reports]
-        merged = merge_reports(reports)
-        print(merged.one_line(), file=out)
-        if profile is not None:
-            from .bench import save_governor_json
+    def runs(name: str) -> int:
+        return series[name]["n"] if name in series else 0
 
-            path = save_governor_json(reports)
-            print(f"wrote governor telemetry to {path}", file=out)
+    def total(name: str) -> float:
+        return series[name]["sum"]
+
+    def count(name: str) -> int:
+        return int(series[name]["sum"])
+
+    if governor is not None and runs("governor.drops"):
+        from .runtime import GovernorReport
+
+        summary = GovernorReport(
+            policy=governor.policy.value,
+            drops=count("governor.drops"),
+            traffic_restores=count("governor.traffic_restores"),
+            socket_throttles=count("governor.socket_throttles"),
+            prescales=count("governor.prescales"),
+            estimated_saving_j=total("governor.estimated_saving_j"),
+            penalty_s=total("governor.penalty_s"),
+        )
+        print(summary.one_line(), file=out)
     if fault_plan is not None:
-        reports = scope.fault_reports
-        if reports:
+        if runs("faults.link_events"):
             print(
-                f"faults[seed={fault_plan.seed}] over {len(reports)} runs: "
-                f"{sum(r['link_events'] for r in reports)} link events, "
-                f"{sum(r['straggled_calls'] for r in reports)} slowed computes, "
-                f"{sum(r['noise_pulses'] for r in reports)} noise pulses, "
-                f"{sum(r['jittered_transitions'] for r in reports)} "
+                f"faults[seed={fault_plan.seed}] over "
+                f"{runs('faults.link_events')} runs: "
+                f"{count('faults.link_events')} link events, "
+                f"{count('faults.straggled_calls')} slowed computes, "
+                f"{count('faults.noise_pulses')} noise pulses, "
+                f"{count('faults.jittered_transitions')} "
                 "jittered transitions",
                 file=out,
             )
         else:
             print("faults: no simulation ran under the plan", file=out)
     if arbiter is not None:
-        reports = scope.arbiter_reports
-        if reports:
+        if runs("arbiter.ticks"):
             print(
                 f"arbiter[{arbiter.policy.value} @ {arbiter.power_cap_w:g} W] over "
-                f"{len(reports)} runs: "
-                f"{sum(r['ticks'] for r in reports)} ticks, "
-                f"{sum(r['rebalances'] for r in reports)} rebalances, "
-                f"{sum(r['freq_changes'] for r in reports)} node freq "
-                f"changes, {sum(r['donated_j'] for r in reports):.3g} J "
+                f"{runs('arbiter.ticks')} runs: "
+                f"{count('arbiter.ticks')} ticks, "
+                f"{count('arbiter.rebalances')} rebalances, "
+                f"{count('arbiter.freq_changes')} node freq "
+                f"changes, {total('arbiter.donated_j'):.3g} J "
                 "donated",
                 file=out,
             )
@@ -424,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument(
         "--metrics", action="store_true",
         help="also print the metrics snapshot captured by the last sweep "
-             "(requires the sweep to have run under --metrics)",
+             "(requires the sweep to have run under --metrics) and its "
+             "folded governor/fault/arbiter reports",
     )
 
     p_camp = sub.add_parser(
@@ -637,6 +654,10 @@ def cmd_bench_report(args, out) -> int:
                 "--metrics FILE to capture them",
                 file=out,
             )
+        reports = stats.get("reports")
+        if reports and reports.get("series"):
+            print(render_metrics_report(reports, title="reports"),
+                  file=out, end="")
     return 0
 
 

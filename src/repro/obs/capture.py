@@ -23,7 +23,7 @@ served from the result cache replays the same way a fresh one does.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, Iterator, List, Optional
 
 from ..sim.trace import RecordingTracer, default_tracer, use_tracer
@@ -136,6 +136,7 @@ def capture_cell(config: CaptureConfig) -> Iterator[_CellCapture]:
     hermetic: the same cell captures the same payload inline, in a
     worker, or nested under any outer instrumentation.
     """
+    from ..bench.profile import JobSample  # lazy: bench imports runner
     from ..mpi.job import JOB_OBSERVERS  # lazy: keep worker imports cheap
 
     recorder = RecordingTracer() if config.trace else None
@@ -143,14 +144,7 @@ def capture_cell(config: CaptureConfig) -> Iterator[_CellCapture]:
     samples: Optional[List[Dict[str, Any]]] = [] if config.profile else None
 
     def observe(job, result) -> None:
-        samples.append({
-            "n_ranks": job.n_ranks,
-            "sim_time_s": result.duration_s,
-            "wall_time_s": result.stats.wall_time_s,
-            "events_processed": result.stats.events_processed,
-            "rerate_calls": result.stats.rerate_calls,
-            "flows_rerated": result.stats.flows_rerated,
-        })
+        samples.append(asdict(JobSample.from_job(job, result)))
 
     saved_observers = JOB_OBSERVERS[:]
     JOB_OBSERVERS[:] = [observe] if samples is not None else []

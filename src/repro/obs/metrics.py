@@ -28,7 +28,7 @@ the host clock, so snapshots are byte-identical across reruns, across
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Dict, Iterator, Optional, Set
+from typing import Any, Dict, Iterator, Mapping, Optional, Set
 
 from ..sim.trace import Tracer
 
@@ -150,6 +150,17 @@ class MetricsRegistry:
         if stats is None:
             stats = self.series[name] = SeriesStats()
         stats.observe(t, value)
+
+    def observe_report(self, ns: str, report: Mapping[str, Any]) -> None:
+        """Fold one per-run report dict (a governor/fault/arbiter report):
+        each numeric field becomes one sample of series ``"<ns>.<field>"``,
+        so a series' ``n`` counts runs and its ``sum``/``min``/``max`` are
+        exact across them.  Strings (policy, injector names) are config,
+        not telemetry, and are skipped.  Reports carry no clock, so every
+        sample sits at ``t = 0``."""
+        for key, value in report.items():
+            if isinstance(value, (int, float)):
+                self.observe(f"{ns}.{key}", 0.0, value)
 
     # -- output -------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:

@@ -35,7 +35,6 @@ from .cells import (
     execute_cell,
 )
 from .pool import (
-    RUNNER_METRICS,
     SweepStats,
     clear_memo,
     load_sweep_stats,
@@ -49,7 +48,6 @@ __all__ = [
     "APP_SPECS",
     "CACHE_SCHEMA",
     "CellResult",
-    "RUNNER_METRICS",
     "ResultCache",
     "SUBSTRATE_COUNTERS",
     "SweepCell",

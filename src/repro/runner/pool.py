@@ -52,12 +52,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..obs.metrics import MetricsRegistry
 from .cache import ResultCache, cache_key
 from .cells import SUBSTRATE_COUNTERS, CellResult, SweepCell, execute_cell
 
 __all__ = [
-    "RUNNER_METRICS",
     "SweepStats",
     "clear_memo",
     "load_sweep_stats",
@@ -68,13 +66,6 @@ __all__ = [
 ]
 
 _LOG = logging.getLogger("repro.runner")
-
-#: Runner-infrastructure telemetry (substrate cache hits/misses, worker
-#: reuse, batch counts).  Deliberately a *dedicated* registry, never the
-#: ambient one: ambient metrics snapshots must stay byte-identical
-#: across ``--jobs`` values and cache states, and pool behaviour is
-#: exactly the thing that varies.
-RUNNER_METRICS = MetricsRegistry()
 
 #: In-process memo: cache key -> result.  Subsumes the old per-module
 #: ``_APP_RUN_CACHE`` in bench.experiments — any two cells with the same
@@ -266,14 +257,10 @@ class SweepStats:
 
 
 def _fold_telemetry(stats: SweepStats, telemetry: Dict[str, Any]) -> None:
-    """Accumulate one worker batch's telemetry into stats + RUNNER_METRICS."""
+    """Accumulate one worker batch's telemetry into ``stats``."""
     stats.substrate_hits += int(telemetry.get("substrate_hits", 0))
     stats.substrate_misses += int(telemetry.get("substrate_misses", 0))
     stats.substrate_rebuild_s += float(telemetry.get("substrate_rebuild_s", 0.0))
-    RUNNER_METRICS.inc("runner.substrate.hits", telemetry.get("substrate_hits", 0))
-    RUNNER_METRICS.inc("runner.substrate.misses", telemetry.get("substrate_misses", 0))
-    RUNNER_METRICS.inc("runner.substrate.rebuild_s",
-                       telemetry.get("substrate_rebuild_s", 0.0))
 
 
 def _execute_pending(
@@ -322,11 +309,8 @@ def _execute_pending(
                 pids.add(telemetry.get("pid"))
                 if telemetry.get("warm"):
                     stats.worker_reuse += 1
-                    RUNNER_METRICS.inc("runner.worker.reuse")
                 _fold_telemetry(stats, telemetry)
             stats.workers_used = len(pids)
-            RUNNER_METRICS.inc("runner.batches", len(batches))
-            RUNNER_METRICS.inc("runner.cells.executed", len(flat))
             by_key = dict(zip(order, flat))
         except Exception:
             # Pool infrastructure failure (fork unavailable, broken
@@ -346,7 +330,6 @@ def _execute_pending(
                 SUBSTRATE_COUNTERS["rebuild_s"] - before["rebuild_s"]
             ),
         })
-        RUNNER_METRICS.inc("runner.cells.executed", len(cells))
     for key, cell in zip(order, cells):
         stats.timings.append((cell.label or key[:12], by_key[key].wall_time_s))
     return [(idx, key, by_key[key]) for idx, key, _cell in pending]
@@ -452,20 +435,22 @@ def save_sweep_stats(
     cache: Optional[ResultCache] = None,
     results_dir: Optional[Path] = None,
     metrics: Optional[Dict[str, Any]] = None,
+    reports: Optional[Dict[str, Any]] = None,
 ) -> Optional[Path]:
     """Persist one sweep's accounting for ``repro bench-report``.
 
-    ``metrics`` is an optional :class:`~repro.obs.metrics.MetricsRegistry`
-    snapshot; when given, ``bench-report --metrics`` can render it later.
-    Runner-infrastructure counters ride along separately (they are never
-    part of the ambient snapshot — see :data:`RUNNER_METRICS`).
+    ``metrics`` (the ambient ``--metrics`` registry) and ``reports`` (the
+    sweep's folded governor/fault/arbiter reports, see
+    :class:`repro.bench.RunnerScope`) are optional
+    :class:`~repro.obs.metrics.MetricsRegistry` snapshots;
+    ``bench-report --metrics`` renders both.
     """
     path = _stats_path(results_dir)
     payload = stats.to_dict()
     payload["cache"] = cache.stats() if cache is not None else None
     payload["cache_dir"] = str(cache.root) if cache is not None else None
     payload["metrics"] = metrics
-    payload["runner_metrics"] = RUNNER_METRICS.snapshot()["counters"]
+    payload["reports"] = reports
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8") as fh:

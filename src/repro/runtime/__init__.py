@@ -13,10 +13,8 @@ Layers
     The sensor: EWMA + histogram slack estimates per core and a
     per-(collective, message-size) call-duration history.
 :mod:`~repro.runtime.governor`
-    The policy FSMs (``none`` / ``countdown`` / ``predictive``).
-:mod:`~repro.runtime.telemetry`
-    The per-run :class:`GovernorReport` exported through
-    :mod:`repro.bench.export`.
+    The policy FSMs (``none`` / ``countdown`` / ``predictive``) and the
+    per-run :class:`GovernorReport` they seal.
 :mod:`~repro.runtime.arbiter`
     The cluster-scale dual: a global power cap arbitrated into per-node
     budgets (``uniform`` / ``redistribute``) across co-scheduled jobs.
@@ -47,9 +45,9 @@ from .governor import (
     Governor,
     GovernorConfig,
     GovernorPolicy,
+    GovernorReport,
 )
 from .slack import EwmaEstimator, Log2Histogram, SlackMonitor
-from .telemetry import GovernorReport, merge_reports
 
 __all__ = [
     "ArbiterConfig",
@@ -63,5 +61,4 @@ __all__ = [
     "Log2Histogram",
     "PowerArbiter",
     "SlackMonitor",
-    "merge_reports",
 ]

@@ -39,14 +39,13 @@ the message engine the moment the transfer starts (see
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Dict, Optional
 
 from ..cluster.specs import ThrottleGranularity
 from ..collectives.power_control import T_FULL, T_LOW
 from ..sim.engine import CoalescedTimers
 from .slack import SlackMonitor
-from .telemetry import GovernorReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster.cpu import Core
@@ -57,6 +56,7 @@ __all__ = [
     "Governor",
     "GovernorConfig",
     "GovernorPolicy",
+    "GovernorReport",
 ]
 
 #: Operations the predictive policy may pre-scale (collectives; blocking
@@ -140,6 +140,66 @@ class GovernorConfig:
         if "policy" in kwargs:
             kwargs["policy"] = GovernorPolicy(kwargs["policy"])
         return cls(**kwargs)
+
+
+@dataclass
+class GovernorReport:
+    """The governor's flight recorder for one governed job run.
+
+    Every actuation (drop, restore, socket throttle, pre-scale), every
+    armed and cancelled θ timer, the prediction quality of the
+    ``predictive`` policy, and an estimate of the energy the actuations
+    saved relative to running the same timeline with no governor.
+    """
+
+    policy: str = "none"
+    theta_us: float = 0.0
+    #: Top-level MPI calls and waits the monitor observed.
+    calls_observed: int = 0
+    waits_observed: int = 0
+    total_wait_s: float = 0.0
+    #: θ timers armed at wait entry / cancelled because the wait ended first.
+    timers_armed: int = 0
+    timers_cancelled: int = 0
+    #: Cores dropped to the low-power state after θ of continuous wait.
+    drops: int = 0
+    #: Drops undone at wait exit (paying the transition penalty).
+    restores: int = 0
+    #: Drops undone *early* because a transfer started toward/from the core
+    #: (RDMA needs the endpoint's feed path; see MessageEngine hook).
+    traffic_restores: int = 0
+    #: Whole-socket T-state actuations (socket-granular hardware).
+    socket_throttles: int = 0
+    #: Predictive policy: calls pre-scaled to fmin before entry.
+    prescales: int = 0
+    #: Predictive decisions taken from the analytic model (cold history).
+    cold_decisions: int = 0
+    #: Pre-scaled calls that turned out too short to amortise transitions.
+    mispredictions: int = 0
+    #: Calls skipped by the predictor that turned out long enough.
+    missed_engagements: int = 0
+    #: Simulated seconds spent in restore transitions (the governor's cost).
+    penalty_s: float = 0.0
+    #: Integrated (power-before − power-during) over every drop interval.
+    estimated_saving_j: float = 0.0
+    #: Slack monitor snapshot (histogram + per-(op,size) call history).
+    monitor: Dict = field(default_factory=dict)
+
+    def to_dict(self) -> Dict:
+        # Derived from fields() so a new counter can never be forgotten
+        # here (field order == declaration order == export order).
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def one_line(self) -> str:
+        """Terse summary for CLI output."""
+        return (
+            f"governor[{self.policy}]: {self.drops} drops "
+            f"({self.traffic_restores} traffic-restored, "
+            f"{self.socket_throttles} socket throttles), "
+            f"{self.prescales} pre-scales, "
+            f"~{self.estimated_saving_j:.1f} J saved, "
+            f"{self.penalty_s * 1e6:.0f} us transition penalty"
+        )
 
 
 class _CoreFsm:

@@ -48,23 +48,6 @@ def test_load_rejects_missing_keys(tmp_path):
         load_json(str(path))
 
 
-def test_save_governor_json(tmp_path):
-    from repro.bench import save_governor_json
-    from repro.runtime.telemetry import GovernorReport
-
-    reports = [
-        GovernorReport(policy="countdown", theta_us=200.0, drops=5, restores=5),
-        GovernorReport(policy="countdown", theta_us=200.0, drops=3, restores=3),
-    ]
-    path = save_governor_json(reports, results_dir=str(tmp_path))
-    assert os.path.basename(path) == "governor.json"
-    with open(path) as fh:
-        record = json.load(fh)
-    assert record["kind"] == "governor"
-    assert record["merged"]["drops"] == 8
-    assert [r["drops"] for r in record["runs"]] == [5, 3]
-
-
 def test_cli_governor_flag_prints_summary():
     import io
 

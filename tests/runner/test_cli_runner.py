@@ -113,6 +113,20 @@ def test_bench_report_renders_last_sweep(tmp_path):
     assert "hit rate" in text
 
 
+def test_bench_report_renders_folded_reports(tmp_path):
+    """A governed sweep persists its folded reports snapshot, one
+    sample per governed cell, and bench-report --metrics renders it."""
+    import json
+
+    run_cli("experiment", "fig2c", "--governor", "countdown", "--no-cache")
+    with open(tmp_path / "results" / "last_sweep.json") as fh:
+        reports = json.load(fh)["reports"]
+    assert reports["series"]["governor.drops"]["n"] == 5
+    code, text = run_cli("bench-report", "--metrics")
+    assert code == 0
+    assert "== reports ==" in text and "governor.drops" in text
+
+
 def test_bench_report_without_stats_fails_cleanly(tmp_path):
     code, text = run_cli("bench-report", "--results-dir", str(tmp_path / "none"))
     assert code == 1

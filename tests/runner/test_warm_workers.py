@@ -8,14 +8,16 @@ The tentpole claims of the one-execution-path refactor:
 * governed and faulted cells flow through ``run_cells`` with their
   configs reconstructed in-worker, and ``jobs=4``, ``jobs=1`` and a
   warm-cache rerun produce byte-identical results *including* the
-  GovernorReport/FaultReport payloads and captured metrics.
+  GovernorReport/FaultReport payloads and captured metrics;
+* a ``use_runner`` overlay folds exactly the overlaid cells' reports
+  into ``scope.reports``, checked against plain sums over the results.
 """
 
 import json
 
 import pytest
 
-from repro.bench import instrument_cells, use_runner
+from repro.bench import CELL_PLANS, instrument_cells, run_plan, use_runner
 from repro.bench.experiments import plan_ext_faults, plan_ext_governor_alltoall
 from repro.cluster.specs import ClusterSpec
 from repro.runner import (
@@ -25,7 +27,6 @@ from repro.runner import (
     SweepStats,
     clear_memo,
     clear_substrate_cache,
-    execute_cell,
     run_cells,
     shutdown_pool,
 )
@@ -94,8 +95,8 @@ def _governed_faulted_cells():
         seed=7,
     ).to_dict()
     bare = [_collective(n, compute_s=200e-6) for n in (1 << 10, 4 << 10)]
-    cells, gov_idx, fault_idx, _ = instrument_cells(bare, governor, faults)
-    assert gov_idx == (0, 1) and fault_idx == (0, 1)
+    cells, overlaid = instrument_cells(bare, governor, faults)
+    assert overlaid == [("governor", "faults"), ("governor", "faults")]
     return cells
 
 
@@ -137,39 +138,112 @@ def test_instrumented_cells_jobs4_and_warm_cache_identical(tmp_path,
     assert warm_metrics == inline_metrics
 
 
-def test_use_runner_overlay_collects_reports_and_replays_from_cache(tmp_path):
-    """CLI semantics: use_runner(governor=..., faults=...) overlays plan
-    cells, collects their report dicts, and a warm-cache rerun collects
-    the identical reports without executing anything."""
-    from repro.faults import parse_fault_spec
+def _countdown():
     from repro.runtime import GovernorConfig, GovernorPolicy
 
-    governor = GovernorConfig(policy=GovernorPolicy("countdown")).to_dict()
-    faults = parse_fault_spec("degrade:factor=0.5,frac=0.5", seed=3).to_dict()
+    return GovernorConfig(policy=GovernorPolicy("countdown")).to_dict()
+
+
+def _degrade(seed):
+    from repro.faults import parse_fault_spec
+
+    return parse_fault_spec("degrade:factor=0.5,frac=0.5", seed=seed).to_dict()
+
+
+def test_use_runner_overlay_collects_reports_and_replays_from_cache(tmp_path):
+    """CLI semantics: use_runner(governor=..., faults=...) overlays plan
+    cells, folds their reports into scope.reports, and a warm-cache
+    rerun folds the identical snapshot without executing anything."""
+    governor = _countdown()
+    faults = _degrade(seed=3)
     cache = ResultCache(tmp_path)
 
     def sweep():
         clear_memo()
-        from repro.bench import run_plan
-
         stats = SweepStats()
         with use_runner(jobs=1, cache=cache, stats=stats,
                         governor=governor, faults=faults) as scope:
             headers, rows, _ = run_plan("fig2c", sizes=(4, 64))
-        return scope, stats, json.dumps([headers, [list(r) for r in rows]],
-                                        sort_keys=True)
+        return (
+            json.dumps(scope.reports.snapshot(), sort_keys=True),
+            stats,
+            json.dumps([headers, [list(r) for r in rows]], sort_keys=True),
+        )
 
-    cold_scope, cold_stats, cold_series = sweep()
-    warm_scope, warm_stats, warm_series = sweep()
+    cold_reports, cold_stats, cold_series = sweep()
+    warm_reports, warm_stats, warm_series = sweep()
 
     assert cold_stats.unique_executed == 2
     assert warm_stats.cache_hits == 2 and warm_stats.executed == 0
     assert warm_series == cold_series
-    assert len(cold_scope.governor_reports) == 2
-    assert len(cold_scope.fault_reports) == 2
-    assert warm_scope.governor_reports == cold_scope.governor_reports
-    assert warm_scope.fault_reports == cold_scope.fault_reports
-    assert all(r["seed"] == 3 for r in cold_scope.fault_reports)
+    assert warm_reports == cold_reports
+    series = json.loads(cold_reports)["series"]
+    assert series["governor.drops"]["n"] == 2
+    assert series["faults.link_events"]["n"] == 2
+    assert series["faults.seed"]["min"] == series["faults.seed"]["max"] == 3
+
+
+def test_reports_fold_matches_plain_sums_over_overlaid_cells():
+    """Cross-check of the one fold: every ``reports`` series equals a
+    plain count/sum/min/max over the report dicts of the cells the
+    overlay touched, computed here from run_cells results directly."""
+    from repro.runtime import ArbiterConfig, ArbiterPolicy
+
+    overlay = {
+        "governor": _countdown(),
+        "faults": _degrade(seed=3),
+        "arbiter": ArbiterConfig(policy=ArbiterPolicy("redistribute"),
+                                 power_cap_w=16000.0).to_dict(),
+    }
+    with use_runner(jobs=1, **overlay) as scope:
+        run_plan("fig2c")
+    series = scope.reports.snapshot()["series"]
+
+    # fig2c pins no instrumentation, so every cell takes all three.
+    cells = [
+        SweepCell(c.experiment, c.kind, {**c.params, **overlay}, c.label)
+        for c in CELL_PLANS["fig2c"]().cells
+    ]
+    expected = {}
+    for result in run_cells(cells, jobs=1):
+        for ns in overlay:
+            for key, value in getattr(result, ns).items():
+                if isinstance(value, str):
+                    continue
+                n, total, lo, hi = expected.get(f"{ns}.{key}",
+                                                (0, 0, value, value))
+                expected[f"{ns}.{key}"] = (n + 1, total + value,
+                                           min(lo, value), max(hi, value))
+
+    assert {"governor.drops", "faults.link_events", "arbiter.ticks",
+            "arbiter.donors_peak", "arbiter.max_budget_w"} <= set(expected)
+    assert {
+        name: (s["n"], s["sum"], s["min"], s["max"])
+        for name, s in series.items()
+    } == expected
+    assert all(n == len(cells) for n, *_ in expected.values())
+    assert "governor.policy" not in series
+    assert "faults.injectors" not in series
+
+
+def test_plan_pinned_governor_cells_are_not_folded():
+    """ext-faults pins a governor on its governed columns; only the
+    No-Power cells take the overlay, so only their reports are folded."""
+    from repro.runtime import GovernorConfig, GovernorPolicy
+
+    overlay = GovernorConfig(policy=GovernorPolicy("countdown"),
+                             theta_s=123e-6).to_dict()
+    kw = {"sizes": (64 << 10,), "iterations": 1, "n_ranks": 16}
+    with use_runner(jobs=1, governor=overlay) as scope:
+        run_plan("ext-faults", **kw)
+    series = scope.reports.snapshot()["series"]
+
+    cells = plan_ext_faults(**kw).cells
+    unpinned = [c for c in cells if "governor" not in c.params]
+    assert 0 < len(unpinned) < len(cells)
+    assert series["governor.drops"]["n"] == len(unpinned)
+    theta = series["governor.theta_us"]
+    assert theta["min"] == theta["max"] == pytest.approx(123.0)
 
 
 def test_plan_declared_configs_win_over_overlay():
@@ -183,9 +257,10 @@ def test_plan_declared_configs_win_over_overlay():
                              theta_s=123e-6).to_dict()
     plan = plan_ext_governor_alltoall(sizes=(64 << 10,), iterations=1,
                                      n_ranks=16)
-    cells, gov_idx, _, _ = instrument_cells(plan.cells, overlay, None)
-    for i, cell in enumerate(cells):
-        if i in gov_idx:
+    cells, overlaid = instrument_cells(plan.cells, overlay, None)
+    for cell, names in zip(cells, overlaid):
+        if names:
+            assert names == ("governor",)
             assert cell.params["governor"] == overlay
         else:
             assert cell.params["governor"] != overlay

@@ -1,6 +1,8 @@
 """Governor policy tests: determinism guard, countdown drops/restores,
 predictive pre-scaling, traffic restores, horizon interaction and
-report merging."""
+report folding."""
+
+from dataclasses import fields
 
 import pytest
 
@@ -12,8 +14,9 @@ from repro.runtime import (
     Governor,
     GovernorConfig,
     GovernorPolicy,
-    merge_reports,
+    GovernorReport,
 )
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.session import SimSession
 
 RANKS = 16
@@ -254,17 +257,24 @@ def test_job_rejects_governor_with_adopted_session():
 
 
 def test_per_job_governors_merge_into_one_summary():
-    """One governor per job, from one config; the per-job reports merge
-    into the one-line summary the CLI prints."""
+    """One governor per job, from one config; the per-job reports fold
+    into the one snapshot the CLI summary reads: one sample per run for
+    every numeric field, config strings left out."""
     config = GovernorConfig(policy=GovernorPolicy.COUNTDOWN, theta_s=50e-6)
     governors = [Governor(config), Governor(config)]
     for gov in governors:
         _run(gov)
     reports = [gov.report() for gov in governors]
     assert all(r.policy == "countdown" for r in reports)
-    merged = merge_reports(reports)
-    assert merged.drops == sum(r.drops for r in reports)
-    assert merged.drops > 0
+    registry = MetricsRegistry()
+    for r in reports:
+        registry.observe_report("governor", r.to_dict())
+    series = registry.snapshot()["series"]
+    assert series["governor.drops"]["n"] == 2
+    assert series["governor.drops"]["sum"] == sum(r.drops for r in reports) > 0
+    assert series["governor.theta_us"]["max"] == pytest.approx(50.0)
+    assert "governor.policy" not in series
+    assert "governor.monitor" not in series
 
 
 # -- run(until) interaction (ISSUE satellite 2) ------------------------------
@@ -360,8 +370,9 @@ def test_finish_run_charges_throttled_socket_once():
         assert job.affinity.core_of(rank).tstate == T_FULL
 
 
-def test_merge_reports_empty_is_none():
-    assert merge_reports([]) is None
+def test_report_to_dict_covers_every_field():
+    report = GovernorReport()
+    assert set(report.to_dict()) == {f.name for f in fields(GovernorReport)}
 
 
 def test_config_validation():
