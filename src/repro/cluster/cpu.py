@@ -51,6 +51,7 @@ class Core:
         "frequency_ghz",
         "tstate",
         "activity",
+        "speed_factor",
         "_listeners",
         "tracer",
     )
@@ -74,6 +75,11 @@ class Core:
         self.frequency_ghz = spec.fmax
         self.tstate = 0
         self.activity = Activity.IDLE
+        #: Relative instruction throughput vs. an unthrottled core at fmax:
+        #: CPU-bound work (message posting, shared-memory copies) takes
+        #: ``1 / speed_factor`` times longer on a scaled/throttled core.
+        #: Stored, and recomputed by the two setters that move it.
+        self.speed_factor = (self.frequency_ghz / spec.fmax) * tstate_duty(self.tstate)
         self._listeners: List[StateListener] = []
         self.tracer: Tracer = NULL_TRACER
 
@@ -112,6 +118,7 @@ class Core:
                 self.frequency_ghz, snapped,
             )
         self.frequency_ghz = snapped
+        self.speed_factor = (snapped / self.spec.fmax) * tstate_duty(self.tstate)
 
     def set_tstate(self, level: int, now: float) -> None:
         """Apply a throttle change (T0..T7)."""
@@ -126,6 +133,7 @@ class Core:
                 now, self.core_id, self.node_id, "tstate", self.tstate, level
             )
         self.tstate = level
+        self.speed_factor = (self.frequency_ghz / self.spec.fmax) * tstate_duty(level)
 
     def set_activity(self, activity: Activity, now: float) -> None:
         if activity == self.activity:
@@ -144,15 +152,6 @@ class Core:
     def duty(self) -> float:
         """Fraction of active cycles under the current T-state."""
         return tstate_duty(self.tstate)
-
-    @property
-    def speed_factor(self) -> float:
-        """Relative instruction throughput vs. an unthrottled core at fmax.
-
-        CPU-bound work (message posting, shared-memory copies) takes
-        ``1 / speed_factor`` times longer on a scaled/throttled core.
-        """
-        return (self.frequency_ghz / self.spec.fmax) * self.duty
 
     def cpu_time(self, seconds_at_peak: float) -> float:
         """Wall time needed for work that takes ``seconds_at_peak`` at

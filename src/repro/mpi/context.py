@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Optional
 
 from ..cluster.cpu import Activity
 from ..sim import Event
+from ..sim.events import URGENT
 from .communicator import Communicator
 from .p2p import ANY_SOURCE, ANY_TAG, ProgressMode
 
@@ -129,13 +130,16 @@ class RankContext:
 
     def _governed(self, op: str, nbytes: int, inner):
         """Run ``inner`` (an operation generator) between governor
-        entry/exit notifications; transparent when no governor is
-        installed.  The governor tracks call nesting itself, so the
-        p2p issued *inside* a wrapped collective stays subordinate."""
+        entry/exit notifications.  With no governor installed this is
+        ``inner`` itself, so the call costs no wrapper frame.  The
+        governor tracks call nesting itself, so the p2p issued *inside* a
+        wrapped collective stays subordinate."""
         governor = self.job.governor
         if governor is None:
-            value = yield from inner
-            return value
+            return inner
+        return self._governed_call(governor, op, nbytes, inner)
+
+    def _governed_call(self, governor, op: str, nbytes: int, inner):
         yield from governor.call_begin(self, op, nbytes)
         value = yield from inner
         yield from governor.call_end(self, op, nbytes)
@@ -210,6 +214,14 @@ class RankContext:
         comm = comm or self.world
         src = dst if src is None else src
         recv_tag = tag if recv_tag is None else recv_tag
+        job = self.job
+        if (job.governor is None and job.arbiter is None
+                and job.progress is ProgressMode.POLLING):
+            # Nothing observes this rank's waits: run the exchange as a
+            # callback chain and resume the rank once, when both requests
+            # are done.
+            return (yield _Exchange(self, dst, nbytes, src, tag, comm,
+                                    recv_tag).join)
 
         def inner():
             sreq = yield from self.isend(dst, nbytes, tag, comm)
@@ -376,3 +388,72 @@ class RankContext:
         yield from self._governed(
             "barrier", 0, self.job.collectives.barrier(self, comm or self.world)
         )
+
+
+class _Exchange:
+    """One unobserved :meth:`RankContext.sendrecv` as a callback chain.
+
+    The same events, in the same queue slots, as the generator path: the
+    ``o_send`` timeout posts the send and arms the ``o_recv`` timeout,
+    which posts the receive and joins the two requests.  ``join`` fires
+    URGENT once both are done, exactly as an ``AllOf`` over them would,
+    and the rank waiting on it resumes once instead of three times.
+    """
+
+    __slots__ = ("ctx", "dst", "nbytes", "src", "tag", "comm", "recv_tag",
+                 "sreq", "rreq", "pending", "join")
+
+    def __init__(self, ctx: RankContext, dst, nbytes, src, tag, comm, recv_tag):
+        self.ctx = ctx
+        self.dst = dst
+        self.nbytes = nbytes
+        self.src = src
+        self.tag = tag
+        self.comm = comm
+        self.recv_tag = recv_tag
+        self.sreq: Optional[Event] = None
+        self.rreq: Optional[Event] = None
+        self.pending = 2
+        self.join = Event(ctx.env)
+        self._after(ctx.spec.o_send, self._post_send)
+
+    def _after(self, seconds_at_peak: float, step) -> None:
+        """``step`` after the CPU overhead (as ``_overhead``: none when 0)."""
+        if seconds_at_peak > 0:
+            ctx = self.ctx
+            ctx.env.timeout(ctx.core.cpu_time(seconds_at_peak)).callbacks.append(step)
+        else:
+            step(None)
+
+    def _post_send(self, _event: Optional[Event]) -> None:
+        ctx = self.ctx
+        comm = self.comm
+        self.sreq = ctx.job.engine.post_send(
+            ctx.rank, comm.world_rank(self.dst), self.nbytes, self.tag, comm
+        )
+        self._after(ctx.spec.o_recv, self._post_recv)
+
+    def _post_recv(self, _event: Optional[Event]) -> None:
+        ctx = self.ctx
+        comm = self.comm
+        src = self.src
+        src_world = src if src == ANY_SOURCE else comm.world_rank(src)
+        self.rreq = ctx.job.engine.post_recv(ctx.rank, src_world, self.recv_tag, comm)
+        for req in (self.sreq, self.rreq):
+            if req.callbacks is None:
+                self._check(req)
+                if self.join.triggered:
+                    break
+            else:
+                req.callbacks.append(self._check)
+
+    def _check(self, req: Event) -> None:
+        join = self.join
+        if join.triggered:
+            return
+        self.pending -= 1
+        if not req._ok:
+            req._defused = True
+            join.fail(req._value, priority=URGENT)
+        elif self.pending == 0:
+            join.succeed(self.rreq._value, priority=URGENT)

@@ -21,8 +21,10 @@ import enum
 from typing import Dict, List, Optional, Tuple
 
 from ..cluster.affinity import AffinityMap
+from ..network.fabric import Link
 from ..network.ibnet import IBNetwork
 from ..sim import Environment, Event
+from ..sim.events import URGENT
 from .communicator import Communicator
 
 ANY_SOURCE = -1
@@ -37,9 +39,18 @@ class ProgressMode(enum.Enum):
 
 
 class _Send:
-    __slots__ = ("src", "dst", "tag", "comm_id", "nbytes", "posted_at", "done")
+    """One message: its matching envelope, and the protocol's state.
 
-    def __init__(self, src, dst, tag, comm_id, nbytes, posted_at, done):
+    The eager and rendezvous protocols run as callback chains on this
+    record: each step arms the next on the event it waits for.  ``recv``
+    is the matched receive (rendezvous only); ``links``/``cap`` are the
+    resolved path, kept between the handshake and the bulk transfer.
+    """
+
+    __slots__ = ("src", "dst", "tag", "comm_id", "nbytes", "posted_at", "done",
+                 "engine", "recv", "links", "cap")
+
+    def __init__(self, src, dst, tag, comm_id, nbytes, posted_at, done, engine):
         self.src = src
         self.dst = dst
         self.tag = tag
@@ -47,6 +58,60 @@ class _Send:
         self.nbytes = nbytes
         self.posted_at = posted_at
         self.done = done
+        self.engine = engine
+        self.recv: Optional[_Recv] = None
+        self.links = ()
+        self.cap = 0.0
+
+    # -- eager chain: [wake] -> latency -> [transfer] -> arrive ---------------
+    def _eager_start(self, _event: Event) -> None:
+        self.engine._deliver_eager(self)
+
+    def _eager_route(self, _event: Optional[Event] = None) -> None:
+        engine = self.engine
+        latency, self.links, self.cap = engine._path_params(self)
+        engine.env.timeout(latency).callbacks.append(self._eager_transfer)
+
+    def _eager_transfer(self, _event: Event) -> None:
+        if self.nbytes > 0:
+            self.engine.net.fabric.transfer(
+                self.links, self.nbytes, cpu_cap=self.cap,
+                label=f"e{self.src}->{self.dst}",
+            ).callbacks.append(self._eager_arrive)
+        else:
+            self._eager_arrive(_event)
+
+    def _eager_arrive(self, _event: Event) -> None:
+        engine = self.engine
+        recv = engine._match_posted_recv(self)
+        if recv is not None:
+            engine._complete_recv(recv, self)
+        else:
+            key = (self.comm_id, self.dst)
+            engine._unexpected.setdefault(key, []).append(self)
+
+    # -- rendezvous chain: [wake] -> RTS/CTS -> transfer -> complete ----------
+    def _rndv_start(self, _event: Event) -> None:
+        self.engine._rendezvous(self)
+
+    def _rndv_route(self, _event: Optional[Event] = None) -> None:
+        engine = self.engine
+        latency, self.links, self.cap = engine._path_params(self)
+        # RTS/CTS handshake round-trip before the bulk transfer.
+        engine.env.timeout(
+            latency * engine.spec.rndv_rtt_factor
+        ).callbacks.append(self._rndv_transfer)
+
+    def _rndv_transfer(self, _event: Event) -> None:
+        self.engine.net.fabric.transfer(
+            self.links, self.nbytes, cpu_cap=self.cap,
+            label=f"r{self.src}->{self.dst}",
+        ).callbacks.append(self._rndv_complete)
+
+    def _rndv_complete(self, _event: Event) -> None:
+        engine = self.engine
+        self.done.succeed(engine.env.now)
+        engine._complete_recv(self.recv, self)
 
 
 class _Recv:
@@ -89,6 +154,8 @@ class MessageEngine:
         self._posted_recvs: Dict[Tuple[int, int], List[_Recv]] = {}
         self._unexpected: Dict[Tuple[int, int], List[_Send]] = {}
         self._pending_rndv: Dict[Tuple[int, int], List[_Send]] = {}
+        #: Link path per (src_node, dst_node).
+        self._paths: Dict[Tuple[int, int], Tuple[Link, ...]] = {}
         #: Message counter for observability/tests.
         self.messages_sent = 0
 
@@ -104,18 +171,17 @@ class MessageEngine:
         if tag < 0:
             raise ValueError("send tag must be >= 0")
         done = self.env.event()
-        send = _Send(src, dst, tag, comm.comm_id, nbytes, self.env.now, done)
+        send = _Send(src, dst, tag, comm.comm_id, nbytes, self.env.now, done, self)
         self.messages_sent += 1
         if nbytes <= self.spec.eager_threshold:
             # Eager: sender completes immediately; payload travels now.
             done.succeed(self.env.now)
-            self.env.process(self._deliver_eager(send), name=f"eager{src}->{dst}")
+            self._start(send._eager_start)
         else:
             recv = self._match_posted_recv(send)
             if recv is not None:
-                self.env.process(
-                    self._rendezvous(send, recv), name=f"rndv{src}->{dst}"
-                )
+                send.recv = recv
+                self._start(send._rndv_start)
             else:
                 key = (send.comm_id, send.dst)
                 self._pending_rndv.setdefault(key, []).append(send)
@@ -144,13 +210,20 @@ class MessageEngine:
         for i, send in enumerate(rndv):
             if recv.matches(send.src, send.tag):
                 rndv.pop(i)
-                self.env.process(
-                    self._rendezvous(send, recv), name=f"rndv{send.src}->{dst}"
-                )
+                send.recv = recv
+                self._start(send._rndv_start)
                 return done
         # 3. Park.
         self._posted_recvs.setdefault(key, []).append(recv)
         return done
+
+    def _start(self, protocol) -> None:
+        """Queue a protocol's first step as one URGENT hop at the current
+        time: the queue slot a process's start event would take, so
+        same-timestamp work keeps its order."""
+        hop = self.env.event()
+        hop.callbacks.append(protocol)
+        hop.succeed(priority=URGENT)
 
     # -- matching helpers ------------------------------------------------------
     def _match_posted_recv(self, send: _Send) -> Optional[_Recv]:
@@ -165,16 +238,28 @@ class MessageEngine:
         recv.done.succeed((send.src, send.tag, send.nbytes))
 
     # -- timing ------------------------------------------------------------------
+    def _route(self, src_node: int, dst_node: int) -> Tuple[Link, ...]:
+        """The links a message from ``src_node`` to ``dst_node`` crosses."""
+        if src_node != dst_node:
+            return tuple(self.net.inter_node_path(src_node, dst_node))
+        if self.progress is ProgressMode.POLLING:
+            return (self.net.mem(src_node),)
+        # Blocking mode: HCA loopback.
+        return tuple(self.net.loopback_path(src_node))
+
     def _path_params(self, send: _Send):
-        """Resolve (latency, links, cpu_cap) for a message."""
-        src_node = self.affinity.node_of(send.src)
-        dst_node = self.affinity.node_of(send.dst)
+        """Resolve (latency, links, cpu_cap) for a message.
+
+        The links depend on the node pair only and are cached per pair;
+        the cap follows the endpoint cores' current state."""
         src_core = self.affinity.core_of(send.src)
         dst_core = self.affinity.core_of(send.dst)
-        pair_speed = min(src_core.speed_factor, dst_core.speed_factor)
+        src_node = src_core.node_id
+        dst_node = dst_core.node_id
+        links = self._paths.get((src_node, dst_node))
+        if links is None:
+            links = self._paths[src_node, dst_node] = self._route(src_node, dst_node)
         if src_node == dst_node and self.progress is ProgressMode.POLLING:
-            latency = self.spec.shm_latency
-            links = [self.net.mem(src_node)]
             fmax = src_core.spec.fmax
             copy_factor = min(
                 self.spec.shm_copy_factor(c.frequency_ghz / fmax, c.duty)
@@ -186,55 +271,38 @@ class MessageEngine:
                 if src_core.socket_id == dst_core.socket_id
                 else self.spec.shm_bw_cross_socket
             )
-            cap = pair_bw * copy_factor
-        elif src_node == dst_node:
-            # Blocking mode: HCA loopback.
-            latency = self.spec.inter_node_latency
-            links = self.net.loopback_path(src_node)
-            cap = self.spec.cpu_feed_bw * pair_speed
-        else:
-            latency = self.spec.inter_node_latency
-            links = self.net.inter_node_path(src_node, dst_node)
-            cap = self.spec.cpu_feed_bw * pair_speed
-        return latency, links, cap
+            return self.spec.shm_latency, links, pair_bw * copy_factor
+        # Inter-node, or the blocking-mode loopback.
+        pair_speed = min(src_core.speed_factor, dst_core.speed_factor)
+        return (self.spec.inter_node_latency, links,
+                self.spec.cpu_feed_bw * pair_speed)
 
-    def _wake_endpoints(self, send: _Send):
+    def _wake_endpoints(self, send: _Send) -> float:
         """Give the governor a chance to restore dropped endpoint cores
-        before ``_path_params`` samples their feed rates; yields the
+        before ``_path_params`` samples their feed rates; returns the
         transition time the transfer absorbs (usually none)."""
-        delay = self.governor.transfer_starting(
+        return self.governor.transfer_starting(
             self.affinity.core_of(send.src), self.affinity.core_of(send.dst)
         )
-        if delay > 0.0:
-            yield self.env.timeout(delay)
 
-    def _deliver_eager(self, send: _Send):
+    def _deliver_eager(self, send: _Send) -> None:
+        """First step of the eager protocol, run at the start hop."""
         if self.governor is not None:
-            yield from self._wake_endpoints(send)
-        latency, links, cap = self._path_params(send)
-        yield self.env.timeout(latency)
-        if send.nbytes > 0:
-            yield self.net.fabric.transfer(
-                links, send.nbytes, cpu_cap=cap, label=f"e{send.src}->{send.dst}"
-            )
-        recv = self._match_posted_recv(send)
-        if recv is not None:
-            self._complete_recv(recv, send)
-        else:
-            key = (send.comm_id, send.dst)
-            self._unexpected.setdefault(key, []).append(send)
+            delay = self._wake_endpoints(send)
+            if delay > 0.0:
+                self.env.timeout(delay).callbacks.append(send._eager_route)
+                return
+        send._eager_route()
 
-    def _rendezvous(self, send: _Send, recv: _Recv):
+    def _rendezvous(self, send: _Send) -> None:
+        """First step of the rendezvous protocol, run at the start hop
+        once sender and receiver have both arrived."""
         if self.governor is not None:
-            yield from self._wake_endpoints(send)
-        latency, links, cap = self._path_params(send)
-        # RTS/CTS handshake round-trip before the bulk transfer.
-        yield self.env.timeout(latency * self.spec.rndv_rtt_factor)
-        yield self.net.fabric.transfer(
-            links, send.nbytes, cpu_cap=cap, label=f"r{send.src}->{send.dst}"
-        )
-        send.done.succeed(self.env.now)
-        self._complete_recv(recv, send)
+            delay = self._wake_endpoints(send)
+            if delay > 0.0:
+                self.env.timeout(delay).callbacks.append(send._rndv_route)
+                return
+        send._rndv_route()
 
     # -- introspection -------------------------------------------------------------
     def quiescent(self) -> bool:

@@ -6,7 +6,9 @@ tracing UI and https://ui.perfetto.dev load directly:
 
 * **rank tracks** (pid ``1``) — one thread per simulated process
   (``rank0`` …), with a complete ("X") slice per resume→suspend
-  interval, named after the event the process parked on;
+  interval, named after the event the process parked on (one slice per
+  ungoverned ``sendrecv``, which parks its rank once; p2p protocols are
+  callback chains and have no track);
 * **flow tracks** (pid ``2``) — one complete slice per fabric transfer,
   built from ``flow.finish`` records (which carry start + duration; the
   1:1 seq pairing with ``flow.start`` is verified separately), packed

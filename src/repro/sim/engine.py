@@ -98,17 +98,18 @@ class Environment:
     def _purge_cancelled(self) -> None:
         """Drop cancelled :class:`Timer` entries from the head of the queue.
 
-        Lazy deletion leaves cancelled timers in the heap; purging them
-        before they are *observed* means a dead timer never advances the
-        clock, never counts as a processed event, and — critically for
-        ``run(until=T)`` — never extends a bounded run past the horizon
-        just to process a no-op (a governor timeout armed behind a wait
-        that ended early, a fabric completion estimate that was re-rated).
+        Lazy deletion leaves cancelled timers in the heap.  :meth:`step`
+        and the drain loop of :meth:`run` drop them as they pop them;
+        :meth:`peek` and ``run(until=T)`` look at the head *without*
+        popping, so they purge it first: a dead timer never reports a
+        next-event time and — critically for ``run(until=T)`` — never
+        extends a bounded run past the horizon just to process a no-op (a
+        governor timeout armed behind a wait that ended early, a fabric
+        completion estimate that was re-rated).
         """
         queue = self._queue
         while queue:
-            event = queue[0][3]
-            if isinstance(event, Timer) and event.cancelled:
+            if queue[0][3]._cancelled:
                 heapq.heappop(queue)
                 if self._cancelled_pending > 0:
                     self._cancelled_pending -= 1
@@ -131,11 +132,11 @@ class Environment:
             self._cancelled_pending >= self.COMPACT_MIN
             and self._cancelled_pending >= len(self._queue) * self.COMPACT_FRACTION
         ):
-            self._queue = [
-                entry for entry in self._queue
-                if not (isinstance(entry[3], Timer) and entry[3].cancelled)
-            ]
-            heapq.heapify(self._queue)
+            # In place: a drain loop holding the queue in a local keeps
+            # popping this very list.
+            queue = self._queue
+            queue[:] = [entry for entry in queue if not entry[3]._cancelled]
+            heapq.heapify(queue)
             self._cancelled_pending = 0
             self.compactions += 1
 
@@ -177,14 +178,25 @@ class Environment:
         return Timer(self, 0.0, callback)
 
     def step(self) -> None:
-        """Process the single next event; raises :class:`EmptySchedule` if none."""
-        self._purge_cancelled()
-        try:
-            self._now, _, _, event = heapq.heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule() from None
-        self.events_processed += 1
-        event._run_callbacks()
+        """Process the single next event; raises :class:`EmptySchedule` if none.
+
+        Cancelled timers are dropped as they are popped, in the same loop:
+        a dead timer never advances the clock nor counts as processed.
+        """
+        queue = self._queue
+        while True:
+            try:
+                now, _, _, event = heapq.heappop(queue)
+            except IndexError:
+                raise EmptySchedule() from None
+            if event._cancelled:
+                if self._cancelled_pending > 0:
+                    self._cancelled_pending -= 1
+                continue
+            self._now = now
+            self.events_processed += 1
+            event._run_callbacks()
+            return
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -197,11 +209,20 @@ class Environment:
           returned.
         """
         if until is None:
-            try:
-                while True:
-                    self.step()
-            except EmptySchedule:
-                return None
+            # step() inlined: the drain loop is the engine's hottest code.
+            # Compaction rebuilds the queue in place, so the alias holds.
+            queue = self._queue
+            heappop = heapq.heappop
+            while queue:
+                now, _, _, event = heappop(queue)
+                if event._cancelled:
+                    if self._cancelled_pending > 0:
+                        self._cancelled_pending -= 1
+                    continue
+                self._now = now
+                self.events_processed += 1
+                event._run_callbacks()
+            return None
         if isinstance(until, Event):
             stop = until
             if stop.callbacks is None:  # already processed

@@ -12,6 +12,7 @@ number), so two runs of the same model produce identical timelines.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -56,6 +57,10 @@ class Event:
 
     __slots__ = ("env", "callbacks", "_value", "_ok", "_state", "_defused")
 
+    #: Only a :class:`Timer` can be cancelled (its slot shadows this), so
+    #: the engine drops dead heap entries with one attribute read.
+    _cancelled = False
+
     def __init__(self, env: "Environment"):
         self.env = env
         self.callbacks: Optional[List[Callable[["Event"], None]]] = []
@@ -97,7 +102,9 @@ class Event:
         self._ok = True
         self._value = value
         self._state = _TRIGGERED
-        self.env.schedule(self, priority=priority)
+        env = self.env  # Environment.schedule, inlined (per-message hot path)
+        env._eid += 1
+        heappush(env._queue, (env._now, priority, env._eid, self))
         return self
 
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
@@ -143,12 +150,16 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        self.env = env
+        self.callbacks = []
         self._value = value
+        self._ok = True
         self._state = _TRIGGERED
-        env.schedule(self, priority=NORMAL, delay=delay)
+        self._defused = False
+        self.delay = delay
+        # Environment.schedule, inlined (per-message hot path).
+        env._eid += 1
+        heappush(env._queue, (env._now + delay, NORMAL, env._eid, self))
 
 
 class Timer(Event):

@@ -10,9 +10,16 @@ byte-identical with tracing on or off: tracers observe, they never steer.
 Event types (the ``type`` field of every record)
 ------------------------------------------------
 ``process.resume``   a process coroutine was resumed
-                     (``process``: name)
+                     (``process``: name).  Processes are the ranks
+                     (``rank<N>``) and model code's own; the p2p eager
+                     and rendezvous protocols are callback chains, not
+                     processes, so no per-message records appear
 ``process.suspend``  a process parked on an event
-                     (``process``, ``target``: class name of the event)
+                     (``process``, ``target``: class name of the event).
+                     An ungoverned, polling, arbiter-free ``sendrecv``
+                     parks its rank once per exchange (``target``
+                     ``Event``, its two-request join); elsewhere each
+                     overhead timeout and wait parks it separately
 ``core.activity``    a core's activity changed
                      (``core``, ``node``, ``old``, ``new``)
 ``core.frequency``   a DVFS (P-state) transition

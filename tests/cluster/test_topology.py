@@ -8,6 +8,7 @@ from repro.cluster import (
     ClusterSpec,
     ThrottleGranularity,
 )
+from repro.cluster.specs import NUM_TSTATES, tstate_duty
 
 
 @pytest.fixture
@@ -122,6 +123,38 @@ def test_core_speed_factor():
     core.set_tstate(7, 0.0)
     assert core.speed_factor == pytest.approx(0.12 * 1.6 / 2.4)
     assert core.cpu_time(1.0) == pytest.approx(1.0 / (0.12 * 1.6 / 2.4))
+
+
+def _speed_formula(core):
+    return (core.frequency_ghz / core.spec.fmax) * tstate_duty(core.tstate)
+
+
+@pytest.mark.parametrize("granularity", list(ThrottleGranularity))
+def test_stored_speed_factor_tracks_every_mutation_path(granularity):
+    cluster = Cluster(ClusterSpec.with_shape(nodes=1, granularity=granularity))
+    core = cluster.nodes[0].cores[0]
+    socket = cluster.nodes[0].sockets[0]
+    cores = cluster.nodes[0].cores
+
+    def check():
+        for c in cores:
+            assert c.speed_factor == _speed_formula(c)  # exact, not approx
+
+    check()
+    for freq in core.spec.pstates_ghz:
+        core.set_frequency(freq, 0.0)
+        check()
+        for level in range(NUM_TSTATES):
+            core.set_tstate(level, 0.0)
+            check()
+    for freq in reversed(core.spec.pstates_ghz):
+        socket.set_frequency(freq, 0.0)
+        check()
+        for level in (3, 7, 0):
+            socket.set_tstate(level, 0.0)
+            check()
+            cluster.throttle_domain.apply(core, socket, 7 - level, 0.0)
+            check()
 
 
 def test_core_state_listener_called_before_change():

@@ -296,3 +296,25 @@ def test_quiescence_check_passes_on_clean_job():
 
     job.run(program)
     assert job.engine.quiescent()
+
+
+def test_path_links_cached_per_node_pair_with_live_cap():
+    from repro.mpi.p2p import _Send
+
+    job = make_job()
+    job.run(lambda ctx: ctx.alltoall(64 << 10))
+    engine = job.engine
+    assert {job.affinity.node_of(r) for r in range(16)} == {0, 1}
+    # 240 messages, four node pairs: one cached tuple per pair.
+    assert set(engine._paths) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert all(type(links) is tuple for links in engine._paths.values())
+
+    send = _Send(0, 8, 0, 0, 1 << 20, job.env.now, None, engine)
+    latency, links, cap = engine._path_params(send)
+    assert links is engine._paths[0, 1]
+    core = job.affinity.core_of(0)
+    core.set_frequency(core.spec.fmin, job.env.now)
+    latency2, links2, cap2 = engine._path_params(send)
+    # Same cached links, but the feed cap follows the core's new state.
+    assert (latency2, links2) == (latency, links)
+    assert cap2 == pytest.approx(cap * core.spec.fmin / core.spec.fmax)

@@ -189,3 +189,30 @@ def test_timers_interleave_deterministically_with_timeouts():
     # Same-time ties break by creation order: the timer handles were created
     # before the process body ran and scheduled its first timeout.
     assert order == ["timer@1", "timeout@1", "timer@2", "timeout@3"]
+
+
+def test_compaction_during_run_keeps_every_live_event_in_order():
+    """A callback that cancels enough timers to trigger a heap compaction
+    mid-drain: the drain loop must keep popping the compacted queue, so
+    every surviving event still runs, in time order, and none twice."""
+    env = Environment()
+    fired = []
+    n_dead = 2 * Environment.COMPACT_MIN
+    dead = [env.call_at(10.0 + i, lambda t: fired.append(("dead", env.now)))
+            for i in range(n_dead)]
+    live_times = [1.5 + 0.5 * i for i in range(40)]
+    for t in live_times:
+        env.call_at(t, lambda timer: fired.append(("live", env.now)))
+
+    def cancel_all(_timer):
+        for timer in dead:
+            timer.cancel()
+        # Armed after the compaction: it must land in the queue being drained.
+        env.call_at(30.0, lambda t: fired.append(("late", env.now)))
+
+    env.call_at(1.0, cancel_all)
+    env.run()
+    assert env.compactions >= 1
+    assert fired == [("live", t) for t in live_times] + [("late", 30.0)]
+    assert env.events_processed == 2 + len(live_times)
+    assert env._queue == [] and env._cancelled_pending == 0
