@@ -5,6 +5,7 @@ from .base import (
     AppSpec,
     CollectiveCall,
     RankProfile,
+    app_cluster_spec,
     build_program,
     run_app,
 )
@@ -45,6 +46,7 @@ __all__ = [
     "NAS_FT",
     "NAS_IS",
     "RankProfile",
+    "app_cluster_spec",
     "app_from_trace",
     "build_program",
     "ft_shape",

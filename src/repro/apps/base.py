@@ -153,6 +153,15 @@ def build_program(profile: RankProfile, alltoall_seconds: Dict[int, float]):
     return program
 
 
+def app_cluster_spec(n_ranks: int) -> ClusterSpec:
+    """The cluster an app run gets by default: fully-subscribed nodes,
+    exactly as many as the run needs (the paper's 32-rank runs occupy 4
+    of the 8 nodes; powering the idle half would distort the energy
+    comparison)."""
+    node = ClusterSpec().node
+    return ClusterSpec(nodes=-(-n_ranks // node.cores_per_node), node=node)
+
+
 def run_app(
     app: AppSpec,
     n_ranks: int,
@@ -168,19 +177,15 @@ def run_app(
     ``faults`` (a :class:`repro.faults.FaultPlan`) perturbs the run — the
     app's compute phases pay straggler/OS-noise costs through
     ``ctx.compute`` and its alltoalls see any injected link degradation.
+    ``job_kwargs`` go to :class:`~repro.mpi.job.MpiJob`; a ``session``
+    among them brings its own cluster (see :func:`app_cluster_spec`)
+    and instruments instead.
     """
     profile = app.profile(n_ranks)
-    if cluster_spec is None:
-        # Fully-subscribed nodes, exactly as many as the run needs (the
-        # paper's 32-rank runs occupy 4 of the 8 nodes; powering the idle
-        # half would distort the energy comparison).
-        node = ClusterSpec().node
-        n_nodes = -(-n_ranks // node.cores_per_node)
-        cluster_spec = ClusterSpec(nodes=n_nodes, node=node)
     engine = CollectiveEngine(CollectiveConfig(power_mode=power_mode))
     job = MpiJob(
         n_ranks,
-        cluster_spec=cluster_spec,
+        cluster_spec=cluster_spec or app_cluster_spec(n_ranks),
         collectives=engine,
         keep_segments=keep_segments,
         faults=faults,

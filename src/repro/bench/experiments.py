@@ -81,6 +81,10 @@ class SweepPlan:
 class RunnerScope:
     """Ambient runner configuration installed by :func:`use_runner`.
 
+    ``tracer``/``metrics``/``profile`` are the caller's observability
+    sinks (a :class:`~repro.sim.trace.Tracer`, a
+    :class:`MetricsRegistry`, a :class:`~repro.bench.profile.SelfProfile`),
+    handed to every :func:`run_cells` call of the scope.
     ``governor``/``faults``/``arbiter`` are plain-data configs
     (``to_dict()`` form) overlaid onto every plan cell that does not
     already pin its own — the CLI's ``--governor``/``--faults``/
@@ -100,6 +104,9 @@ class RunnerScope:
     governor: Optional[Dict[str, Any]] = None
     faults: Optional[Dict[str, Any]] = None
     arbiter: Optional[Dict[str, Any]] = None
+    tracer: Any = None
+    metrics: Optional[MetricsRegistry] = None
+    profile: Any = None
     reports: MetricsRegistry = field(default_factory=MetricsRegistry)
 
 
@@ -110,9 +117,11 @@ _RUNNER_SCOPE = RunnerScope()
 def use_runner(jobs=None, cache=None, refresh: bool = False, stats=None,
                governor: Optional[Dict[str, Any]] = None,
                faults: Optional[Dict[str, Any]] = None,
-               arbiter: Optional[Dict[str, Any]] = None):
+               arbiter: Optional[Dict[str, Any]] = None,
+               tracer=None, metrics: Optional[MetricsRegistry] = None,
+               profile=None):
     """Route every experiment run inside the scope through the parallel
-    executor / result cache with these settings.
+    executor / result cache with these settings, observed by these sinks.
 
     Yields the :class:`RunnerScope`; after the body ran, its ``reports``
     registry holds the folded per-run reports of every cell the
@@ -121,7 +130,8 @@ def use_runner(jobs=None, cache=None, refresh: bool = False, stats=None,
     global _RUNNER_SCOPE
     prev = _RUNNER_SCOPE
     scope = RunnerScope(jobs=jobs, cache=cache, refresh=refresh, stats=stats,
-                        governor=governor, faults=faults, arbiter=arbiter)
+                        governor=governor, faults=faults, arbiter=arbiter,
+                        tracer=tracer, metrics=metrics, profile=profile)
     _RUNNER_SCOPE = scope
     try:
         yield scope
@@ -166,16 +176,19 @@ def _run_plan(plan: SweepPlan):
     """Execute a plan through the one cell runner — no other path exists.
 
     Instrumented or not, every cell goes through :func:`run_cells`
-    (memo > disk cache > warm-worker pool/inline), with any ambient
+    (memo > disk cache > warm-worker pool/inline), with the scope's
     ``--governor``/``--faults``/``--power-cap`` configs overlaid as cell
-    parameters and reconstructed inside the worker by ``execute_cell``.
+    parameters and reconstructed inside the worker by ``execute_cell``,
+    and the scope's observability sinks handed to ``run_cells``.
     """
     scope = _RUNNER_SCOPE
     cells, overlaid = instrument_cells(
         plan.cells, scope.governor, scope.faults, scope.arbiter
     )
     results = run_cells(cells, jobs=scope.jobs, cache=scope.cache,
-                        refresh=scope.refresh, stats=scope.stats)
+                        refresh=scope.refresh, stats=scope.stats,
+                        tracer=scope.tracer, metrics=scope.metrics,
+                        profile=scope.profile)
     for result, names in zip(results, overlaid):
         for ns in names:
             report = getattr(result, ns)

@@ -156,8 +156,7 @@ def render_metrics_report(snapshot: dict, title: str = "metrics") -> str:
 
     ``snapshot`` is :meth:`repro.obs.metrics.MetricsRegistry.snapshot`
     output: counters, gauges, and folded time-series stats — the
-    ambient ``--metrics`` registry, or the sweep's folded per-run
-    ``reports``.
+    ``--metrics`` registry, or the sweep's folded per-run ``reports``.
     """
     lines = [f"== {title} =="]
     counters = snapshot.get("counters") or {}

@@ -156,9 +156,11 @@ def _add_runner_flags(subparser: argparse.ArgumentParser) -> None:
 
 
 def _run_sweep(args, experiment: str, plan: SweepPlan, governor=None,
-               fault_plan=None, arbiter=None):
+               fault_plan=None, arbiter=None, tracer=None, registry=None,
+               profile=None):
     """Run ``plan`` through the one runner path with the command's
-    --jobs/--cache-dir/--no-cache/--refresh settings.
+    --jobs/--cache-dir/--no-cache/--refresh settings, observed by the
+    --trace/--metrics/--profile sinks.
 
     The --governor/--faults/--power-cap configs are handed to
     :func:`use_runner` as plain data, which overlays them onto the plan's
@@ -171,7 +173,6 @@ def _run_sweep(args, experiment: str, plan: SweepPlan, governor=None,
     :class:`~repro.bench.RunnerScope`.
     """
     from .bench.experiments import _run_plan
-    from .obs.metrics import ambient_metrics_registry
     from .runner import ResultCache, SweepStats, resolve_jobs, save_sweep_stats
 
     jobs = resolve_jobs(args.jobs, default=os.cpu_count() or 1)
@@ -185,6 +186,7 @@ def _run_sweep(args, experiment: str, plan: SweepPlan, governor=None,
         governor=governor.to_dict() if governor is not None else None,
         faults=fault_plan.to_dict() if fault_plan is not None else None,
         arbiter=arbiter.to_dict() if arbiter is not None else None,
+        tracer=tracer, metrics=registry, profile=profile,
     ) as scope:
         table = _run_plan(plan)
     # The run summary goes to stderr so stdout stays byte-comparable
@@ -199,7 +201,6 @@ def _run_sweep(args, experiment: str, plan: SweepPlan, governor=None,
         if cs.get("write_errors"):
             line += f" | {cs['write_errors']} WRITE ERRORS (store degraded)"
     print(line, file=sys.stderr)
-    registry = ambient_metrics_registry()
     save_sweep_stats(
         stats, cache=cache,
         metrics=registry.snapshot() if registry is not None else None,
@@ -267,12 +268,12 @@ def _arbiter_config(args):
 
 
 def _run_command(args, out, experiment: str, title: str, plan: SweepPlan) -> int:
-    """Run ``plan`` under the --trace / --metrics / --profile scopes and
+    """Run ``plan`` into the --trace / --metrics / --profile sinks under
     the --governor / --faults / --power-cap configs, print its table
     under ``title``, then the instrumentation summaries — the one run
     path of ``experiment``, ``osu`` and ``app``."""
     from .bench.profile import SelfProfile
-    from .sim.trace import JsonlTracer, use_tracer
+    from .sim.trace import JsonlTracer
 
     governor = _governor_config(args)
     fault_plan = _fault_plan(args)
@@ -289,16 +290,13 @@ def _run_command(args, out, experiment: str, title: str, plan: SweepPlan) -> int
             except OSError as exc:
                 print(f"cannot open trace file {trace_path!r}: {exc}", file=out)
                 return 2
-            stack.enter_context(use_tracer(tracer))
         if metrics_path is not None:
-            from .obs.metrics import MetricsRegistry, use_metrics
+            from .obs.metrics import MetricsRegistry
 
             registry = MetricsRegistry()
-            stack.enter_context(use_metrics(registry))
-        if profile is not None:
-            stack.enter_context(profile)
         (headers, rows, notes), scope = _run_sweep(
-            args, experiment, plan, governor, fault_plan, arbiter
+            args, experiment, plan, governor, fault_plan, arbiter,
+            tracer, registry, profile,
         )
         print(render_experiment(title, headers, rows, notes), file=out)
         json_dir = getattr(args, "json", None)

@@ -93,20 +93,6 @@ def _group_member(ctx, node_id: int, index: int, same_side: bool, side_a: bool =
     return group[index]
 
 
-def _windowed_exchange(ctx, nbytes, comm, tag, partners):
-    """Exchange ``nbytes`` with every rank in ``partners`` at once
-    (non-blocking window + waitall).  Distinct sources disambiguate the
-    shared tag.  Windowing the per-round exchanges keeps the HCA pipeline
-    full even when a peer group is still finishing the previous half."""
-    requests = []
-    for partner in partners:
-        sreq = yield from ctx.isend(partner, nbytes, tag, comm)
-        rreq = yield from ctx.irecv(src=partner, tag=tag, comm=comm)
-        requests.append(sreq)
-        requests.append(rreq)
-    yield from ctx._wait(ctx.env.all_of(requests))
-
-
 def power_aware_alltoall(ctx, nbytes: int, comm, seq: int, send_counts=None):
     """The four-phase socket-scheduled pairwise exchange (Fig 3).
 

@@ -35,11 +35,6 @@ from .p2p import MessageEngine, ProgressMode
 #: A rank program: generator function taking (ctx, *args, **kwargs).
 RankProgram = Callable[..., Any]
 
-#: Hooks invoked as ``observer(job, result)`` after every completed run —
-#: the bench self-profile registers here to collect wall-clock numbers
-#: without the job layer knowing about benchmarking.
-JOB_OBSERVERS: List[Callable[["MpiJob", "JobResult"], None]] = []
-
 
 @dataclass
 class JobStats:
@@ -231,6 +226,7 @@ class MpiJob:
         if self._ran:
             raise RuntimeError("an MpiJob can only run once; build a new one")
         self._ran = True
+        self.session.ranks_launched += self.n_ranks
         self._wall_start = time.perf_counter()
         self._events_before = self.env.events_processed
         self._finish_times = [0.0] * self.n_ranks
@@ -280,7 +276,7 @@ class MpiJob:
         )
         self.stats.rerate_calls = self.net.fabric.rerate_calls
         self.stats.flows_rerated = self.net.fabric.flows_rerated
-        result = JobResult(
+        return JobResult(
             duration_s=end,
             rank_finish_times=self._finish_times,
             returns=self._returns,
@@ -289,9 +285,6 @@ class MpiJob:
             stats=self.stats,
             job=self,
         )
-        for observer in JOB_OBSERVERS:
-            observer(self, result)
-        return result
 
     def run(self, program: RankProgram, *args: Any, **kwargs: Any) -> JobResult:
         """Run ``program`` on every rank and account time + energy."""

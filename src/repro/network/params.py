@@ -103,8 +103,9 @@ class NetworkSpec:
     interrupt_latency: float = 8e-6
     #: OS re-schedule latency after wake-up (s).
     resched_latency: float = 10e-6
-    #: Rendezvous pipeline chunk size; each chunk costs one wake-up when the
-    #: receiver sleeps, which halves effective large-message bandwidth.
+    #: Rendezvous pipeline chunk size.  No model reads it (blocking-mode
+    #: bandwidth is ``blocking_nic_factor``); it stays because it is part
+    #: of :meth:`to_dict`, and so of every result-cache key.
     blocking_chunk: int = 64 * 1024
     #: Node HCA utilisation when all ranks progress via interrupts: with every
     #: rank sleeping between events the send queues drain dry, roughly
@@ -135,9 +136,3 @@ class NetworkSpec:
         """Effective NIC capacity multiplier for a node whose cores run at
         ``mean_freq_ratio`` = mean(f)/fmax."""
         return self.dvfs_io_alpha + (1.0 - self.dvfs_io_alpha) * mean_freq_ratio
-
-    def blocking_bw_penalty(self) -> float:
-        """Serial per-byte cost (s/B) added to large transfers when the
-        receiver sleeps between pipeline chunks (blocking mode)."""
-        wake = self.interrupt_latency + self.resched_latency
-        return wake / self.blocking_chunk

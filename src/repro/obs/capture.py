@@ -1,19 +1,19 @@
 """Per-cell observability capture for the parallel sweep runner.
 
-Ambient ``--trace`` / ``--profile`` / ``--metrics`` scopes are
-process-global: a ``ProcessPoolExecutor`` worker never sees the parent's
-``use_tracer`` default (spawn) or sees a stale copy pointing at the
-parent's open file (fork) — either way records were silently lost or
-corrupted.  This module makes capture *explicit and serializable*
-instead:
+The ``--trace`` / ``--metrics`` / ``--profile`` sinks (a tracer, a
+:class:`~repro.obs.metrics.MetricsRegistry`, a
+:class:`~repro.bench.profile.SelfProfile`) live in the calling process,
+and a pool worker cannot write into them.  So capture is explicit and
+serializable:
 
-1. the parent derives a :class:`CaptureConfig` from its ambient scopes
-   (:meth:`CaptureConfig.from_ambient`),
-2. :func:`repro.runner.cells.execute_cell` runs the cell inside
-   :func:`capture_cell`, which shadows every ambient scope with
-   process-local collectors and seals a plain-data :class:`CellMetrics`,
-3. the parent replays each cell's payload — in submit order — into its
-   own live scopes via :func:`replay_payload`.
+1. :func:`repro.runner.run_cells` derives a :class:`CaptureConfig` from
+   which sinks it was given,
+2. :func:`repro.runner.cells.execute_cell` runs the cell with a
+   :class:`CellCapture`, which builds every session the cell needs with
+   a tracer of its own collectors and seals a plain-data
+   :class:`CellMetrics`,
+3. ``run_cells`` replays each cell's payload — in input order — into
+   the sinks via :func:`replay_payload`.
 
 Because the capture path is identical inline and in a worker, ``--jobs
 N`` reproduces the ``--jobs 1`` record stream exactly, and a payload
@@ -22,14 +22,14 @@ served from the result cache replays the same way a fresh one does.
 
 from __future__ import annotations
 
-import contextlib
+import time
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..sim.trace import RecordingTracer, default_tracer, use_tracer
-from .metrics import MetricsRegistry, ambient_metrics_registry, use_metrics
+from ..sim.trace import RecordingTracer, TeeTracer, Tracer
+from .metrics import MetricsRegistry, MetricsTracer
 
-__all__ = ["CaptureConfig", "CellMetrics", "capture_cell", "replay_payload"]
+__all__ = ["CaptureConfig", "CellCapture", "CellMetrics", "replay_payload"]
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class CaptureConfig:
     #: Collect a per-cell :class:`~repro.obs.metrics.MetricsRegistry`
     #: snapshot (``--metrics``).
     metrics: bool = False
-    #: Collect per-job simulator self-profile samples (``--profile``).
+    #: Collect per-session simulator self-profile samples (``--profile``).
     profile: bool = False
 
     def __bool__(self) -> bool:
@@ -62,17 +62,6 @@ class CaptureConfig:
                    metrics=bool(data.get("metrics")),
                    profile=bool(data.get("profile")))
 
-    @classmethod
-    def from_ambient(cls) -> "CaptureConfig":
-        """Derive the capture the calling process's live scopes need."""
-        from ..bench.profile import ACTIVE_PROFILES  # lazy: bench imports runner
-
-        return cls(
-            trace=default_tracer().enabled,
-            metrics=ambient_metrics_registry() is not None,
-            profile=bool(ACTIVE_PROFILES),
-        )
-
 
 @dataclass
 class CellMetrics:
@@ -82,7 +71,7 @@ class CellMetrics:
     records: Optional[List[Dict[str, Any]]] = None
     #: Per-cell metrics snapshot (:meth:`MetricsRegistry.snapshot`).
     metrics: Optional[Dict[str, Any]] = None
-    #: Per-job self-profile samples (:class:`repro.bench.profile.JobSample`
+    #: Per-session self-profile samples (:class:`repro.bench.profile.JobSample`
     #: fields; ``wall_time_s`` reflects the *original* execution when the
     #: payload is served from the cache).
     profile: Optional[List[Dict[str, Any]]] = None
@@ -97,20 +86,39 @@ class CellMetrics:
                    profile=data.get("profile"))
 
 
-class _CellCapture:
-    """Live collectors for one cell run (sealed into :class:`CellMetrics`)."""
+class CellCapture:
+    """Live collectors for one cell run (sealed into :class:`CellMetrics`).
 
-    def __init__(
-        self,
-        config: CaptureConfig,
-        recorder: Optional[RecordingTracer],
-        registry: Optional[MetricsRegistry],
-        samples: Optional[List[Dict[str, Any]]],
-    ):
-        self.config = config
-        self.recorder = recorder
-        self.registry = registry
-        self.samples = samples
+    The cell builds its sessions through :meth:`session`, so every one
+    of them reports to the cell's collectors and nothing else.
+    """
+
+    def __init__(self, config: CaptureConfig):
+        self.recorder = RecordingTracer() if config.trace else None
+        self.registry = MetricsRegistry() if config.metrics else None
+        self.profile = config.profile
+        #: (session, wall-clock start) of every session built, in order.
+        self._sessions: List[Tuple[Any, float]] = []
+
+    def _tracer(self) -> Optional[Tracer]:
+        # One MetricsTracer per session: its derived state (per-core
+        # frequency, in-flight flows) tracks one session's clock.
+        if self.registry is None:
+            return self.recorder
+        metrics = MetricsTracer(self.registry)
+        if self.recorder is None:
+            return metrics
+        return TeeTracer([self.recorder, metrics])
+
+    def session(self, **kwargs: Any):
+        """A :class:`~repro.sim.session.SimSession` built from ``kwargs``
+        that traces into this capture and is profiled until :meth:`seal`."""
+        from ..sim.session import SimSession
+
+        t0 = time.perf_counter()
+        session = SimSession(tracer=self._tracer(), **kwargs)
+        self._sessions.append((session, t0))
+        return session
 
     def seal(self) -> Dict[str, Any]:
         records = None
@@ -119,63 +127,43 @@ class _CellCapture:
                 {"t": r.t, "type": r.type, **r.data}
                 for r in self.recorder.records
             ]
+        samples = None
+        if self.profile:
+            from ..bench.profile import JobSample  # lazy: bench imports runner
+
+            end = time.perf_counter()
+            samples = [
+                asdict(JobSample.from_session(session, end - t0))
+                for session, t0 in self._sessions
+            ]
         return CellMetrics(
             records=records,
             metrics=self.registry.snapshot() if self.registry is not None else None,
-            profile=self.samples,
+            profile=samples,
         ).to_dict()
 
 
-@contextlib.contextmanager
-def capture_cell(config: CaptureConfig) -> Iterator[_CellCapture]:
-    """Run a cell body under process-local collectors.
-
-    Every ambient scope is shadowed for the duration — the inherited
-    tracer (possibly the parent's open trace file, under fork), the
-    ambient metrics registry, and the job-observer list — so capture is
-    hermetic: the same cell captures the same payload inline, in a
-    worker, or nested under any outer instrumentation.
-    """
-    from ..bench.profile import JobSample  # lazy: bench imports runner
-    from ..mpi.job import JOB_OBSERVERS  # lazy: keep worker imports cheap
-
-    recorder = RecordingTracer() if config.trace else None
-    registry = MetricsRegistry() if config.metrics else None
-    samples: Optional[List[Dict[str, Any]]] = [] if config.profile else None
-
-    def observe(job, result) -> None:
-        samples.append(asdict(JobSample.from_job(job, result)))
-
-    saved_observers = JOB_OBSERVERS[:]
-    JOB_OBSERVERS[:] = [observe] if samples is not None else []
-    try:
-        with use_tracer(recorder), use_metrics(registry):
-            yield _CellCapture(config, recorder, registry, samples)
-    finally:
-        JOB_OBSERVERS[:] = saved_observers
-
-
-def replay_payload(payload: Optional[Dict[str, Any]]) -> None:
-    """Feed one sealed :class:`CellMetrics` payload into the calling
-    process's live scopes: records into the ambient tracer, the metrics
-    snapshot into the ambient registry, profile samples into every
-    active :class:`~repro.bench.profile.SelfProfile`."""
+def replay_payload(
+    payload: Optional[Dict[str, Any]],
+    tracer: Optional[Tracer] = None,
+    metrics: Optional[MetricsRegistry] = None,
+    profile: Optional[Any] = None,
+) -> None:
+    """Feed one sealed :class:`CellMetrics` payload into the given sinks:
+    records into ``tracer``, the metrics snapshot into ``metrics``,
+    profile samples into ``profile`` (a
+    :class:`~repro.bench.profile.SelfProfile`)."""
     if not payload:
         return
-    tracer = default_tracer()
-    if tracer.enabled:
+    if tracer is not None and tracer.enabled:
         for rec in payload.get("records") or []:
             data = {k: v for k, v in rec.items() if k not in ("t", "type")}
             tracer.emit(rec["t"], rec["type"], **data)
     snap = payload.get("metrics")
-    if snap:
-        registry = ambient_metrics_registry()
-        if registry is not None:
-            registry.merge_snapshot(snap)
+    if snap and metrics is not None:
+        metrics.merge_snapshot(snap)
     samples = payload.get("profile")
-    if samples:
-        from ..bench.profile import ACTIVE_PROFILES, JobSample
+    if samples and profile is not None:
+        from ..bench.profile import JobSample
 
-        for profile in list(ACTIVE_PROFILES):
-            for sample in samples:
-                profile.add_sample(JobSample(**sample))
+        profile.samples.extend(JobSample(**sample) for sample in samples)

@@ -16,9 +16,10 @@ seeds) and arbiter configs live *inside* the cell spec and are rebuilt
 fresh per session by :func:`_session_from_params` — a session has no
 other way to acquire them — so a cell run in a worker process is
 bit-identical to the same cell run inline, the property the parallel
-executor and the result cache both rest on.  Ambient tracer/metrics
-scopes only observe, and :func:`execute_cell` shadows them when it
-captures a cell's observability payload.
+executor and the result cache both rest on.  Every executor builds its
+session through :func:`_session_from_params`, which also hands it the
+tracer of the cell's observability capture, if any — tracers only
+observe, so capture never changes a simulated number.
 
 Substrate cache
 ---------------
@@ -59,7 +60,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..obs.capture import CellCapture
 
 __all__ = [
     "APP_SPECS",
@@ -192,10 +196,9 @@ class CellResult:
 _SUBSTRATE_SPECS: Dict[str, tuple] = {}
 
 #: Process-wide substrate-cache accounting.  The pool folds per-batch
-#: deltas of these into :class:`~repro.runner.pool.SweepStats` and the
-#: runner metrics registry (never the ambient ``--metrics`` registry —
-#: hit counts vary across jobs/cache layers and would break replay
-#: determinism).
+#: deltas of these into :class:`~repro.runner.pool.SweepStats` (never
+#: the ``--metrics`` registry — hit counts vary across jobs/cache layers
+#: and would break replay determinism).
 SUBSTRATE_COUNTERS: Dict[str, float] = {
     "hits": 0,
     "misses": 0,
@@ -293,16 +296,27 @@ def _cell_arbiter(params: Mapping):
     return PowerArbiter(ArbiterConfig.from_dict(params["arbiter"]))
 
 
-def _session_from_params(params: Mapping, keep_segments: bool):
+def _session_from_params(
+    params: Mapping,
+    keep_segments: bool,
+    capture: Optional["CellCapture"] = None,
+    cluster_spec=None,
+):
+    """The one place a cell builds its session: the substrate and the
+    governor/fault/arbiter instruments from ``params`` (``cluster_spec``
+    overrides the params' cluster), observed by ``capture``."""
     from ..sim.session import SimSession
 
     cluster, network, power = _substrate_specs(params)
-    return SimSession(
-        cluster_spec=cluster,
+    build = capture.session if capture is not None else SimSession
+    return build(
+        cluster_spec=cluster_spec or cluster,
         network_spec=network,
         power_params=power,
         keep_segments=keep_segments,
-        validate=False,  # validated once per signature in _substrate_specs
+        # The params' own specs were validated once per signature in
+        # _substrate_specs; an override is validated here.
+        validate=cluster_spec is not None,
         governor=_cell_governor(params),
         faults=_cell_faults(params),
         arbiter=_cell_arbiter(params),
@@ -360,11 +374,15 @@ def _seal(job, result, session, params: Mapping) -> CellResult:
     return cell
 
 
-def _run_job(params: Mapping, program, keep_segments: bool) -> CellResult:
+def _run_job(
+    params: Mapping, capture: Optional["CellCapture"], program
+) -> CellResult:
     from ..mpi.job import MpiJob
     from ..mpi.p2p import ProgressMode
 
-    session = _session_from_params(params, keep_segments)
+    session = _session_from_params(
+        params, bool(params.get("keep_segments", False)), capture
+    )
     job = MpiJob(
         int(params["n_ranks"]),
         session=session,
@@ -375,7 +393,9 @@ def _run_job(params: Mapping, program, keep_segments: bool) -> CellResult:
     return _seal(job, result, session, params)
 
 
-def _execute_collective(params: Mapping) -> CellResult:
+def _execute_collective(
+    params: Mapping, capture: Optional["CellCapture"]
+) -> CellResult:
     op = params["op"]
     nbytes = int(params["nbytes"])
     iterations = int(params.get("iterations", 1))
@@ -387,10 +407,12 @@ def _execute_collective(params: Mapping) -> CellResult:
                 yield from ctx.compute(compute_s)
             yield from getattr(ctx, op)(nbytes)
 
-    return _run_job(params, program, bool(params.get("keep_segments", False)))
+    return _run_job(params, capture, program)
 
 
-def _execute_alltoallv(params: Mapping) -> CellResult:
+def _execute_alltoallv(
+    params: Mapping, capture: Optional["CellCapture"]
+) -> CellResult:
     nbytes = int(params["nbytes"])
 
     def program(ctx):
@@ -402,10 +424,12 @@ def _execute_alltoallv(params: Mapping) -> CellResult:
         ]
         yield from ctx.alltoallv(counts)
 
-    return _run_job(params, program, bool(params.get("keep_segments", False)))
+    return _run_job(params, capture, program)
 
 
-def _execute_mixed(params: Mapping) -> CellResult:
+def _execute_mixed(
+    params: Mapping, capture: Optional["CellCapture"]
+) -> CellResult:
     sizes = [int(n) for n in params["sizes"]]
 
     def program(ctx):
@@ -415,20 +439,22 @@ def _execute_mixed(params: Mapping) -> CellResult:
             # saves — the case that separates ADAPTIVE from PROPOSED.
             yield from ctx.bcast(nbytes // 16)
 
-    return _run_job(params, program, bool(params.get("keep_segments", False)))
+    return _run_job(params, capture, program)
 
 
-def _execute_app(params: Mapping) -> CellResult:
-    from ..apps import run_app
+def _execute_app(
+    params: Mapping, capture: Optional["CellCapture"]
+) -> CellResult:
+    from ..apps import app_cluster_spec, run_app
     from ..collectives.registry import PowerMode
 
     app = APP_SPECS[params["app"]]
+    ranks = int(params["ranks"])
+    session = _session_from_params(
+        params, False, capture, cluster_spec=app_cluster_spec(ranks)
+    )
     app_result = run_app(
-        app,
-        int(params["ranks"]),
-        PowerMode(params.get("mode", "none")),
-        governor=_cell_governor(params),
-        faults=_cell_faults(params),
+        app, ranks, PowerMode(params.get("mode", "none")), session=session
     )
     result = app_result.sim
     cell = CellResult(
@@ -446,11 +472,13 @@ def _execute_app(params: Mapping) -> CellResult:
             "energy_kj": app_result.energy_kj,
         },
     )
-    _harvest_reports(cell, result.job.session)
+    _harvest_reports(cell, session)
     return cell
 
 
-def _execute_osu(params: Mapping) -> CellResult:
+def _execute_osu(
+    params: Mapping, capture: Optional["CellCapture"]
+) -> CellResult:
     from ..collectives.registry import PowerMode
     from ..microbench import osu
     from ..mpi.p2p import ProgressMode
@@ -461,10 +489,7 @@ def _execute_osu(params: Mapping) -> CellResult:
         ProgressMode.BLOCKING if params.get("blocking") else ProgressMode.POLLING
     )
     inter_node = not params.get("intra_node", False)
-    # Build the session here (not inside the benchmark's MpiJob) so a
-    # governed/faulted osu cell reconstructs its instrumentation from
-    # its own params, exactly like every other cell kind.
-    session = _session_from_params(params, keep_segments=False)
+    session = _session_from_params(params, False, capture)
     if bench == "latency":
         metric = osu.osu_latency(
             nbytes, inter_node=inter_node, progress=progress, session=session
@@ -509,7 +534,9 @@ def _job_program(jp: Mapping):
     return program
 
 
-def _execute_multijob(params: Mapping) -> CellResult:
+def _execute_multijob(
+    params: Mapping, capture: Optional["CellCapture"]
+) -> CellResult:
     """Co-scheduled jobs sharing one fabric, optionally under an arbiter.
 
     ``params["jobs"]`` is a list of job specs, each with ``n_ranks``,
@@ -522,7 +549,7 @@ def _execute_multijob(params: Mapping) -> CellResult:
     from ..mpi.p2p import ProgressMode
 
     session = _session_from_params(
-        params, bool(params.get("keep_segments", False))
+        params, bool(params.get("keep_segments", False)), capture
     )
     progress = ProgressMode(params.get("progress", "polling"))
     jobs = [
@@ -561,7 +588,9 @@ def _execute_multijob(params: Mapping) -> CellResult:
     return cell
 
 
-_EXECUTORS: Dict[str, Callable[[Mapping], CellResult]] = {
+_EXECUTORS: Dict[
+    str, Callable[[Mapping, Optional["CellCapture"]], CellResult]
+] = {
     "collective": _execute_collective,
     "alltoallv": _execute_alltoallv,
     "mixed": _execute_mixed,
@@ -575,28 +604,28 @@ def execute_cell(cell: SweepCell, capture: Optional[Any] = None) -> CellResult:
     """Run one cell to completion (pure; safe in any process).
 
     ``capture`` is an optional
-    :class:`~repro.obs.capture.CaptureConfig`.  When truthy, the cell
-    runs inside a hermetic :func:`~repro.obs.capture.capture_cell`
-    scope and its observability payload (trace records, metrics
-    snapshot, profile samples) is sealed into ``result.metrics`` as
-    plain data — the parent process replays it in submit order (see
+    :class:`~repro.obs.capture.CaptureConfig`.  When truthy, the cell's
+    session is built with a tracer of a fresh
+    :class:`~repro.obs.capture.CellCapture`, and its observability
+    payload (trace records, metrics snapshot, one profile sample per
+    session) is sealed into ``result.metrics`` as plain data — the
+    parent process replays it in input order (see
     :func:`~repro.runner.pool.run_cells`), so ``--jobs N`` observes
-    exactly what ``--jobs 1`` observes.  The scope shadows the ambient
-    tracer/metrics/profile scopes, so the cell itself stays a pure
-    function of ``(cell, capture)``.
+    exactly what ``--jobs 1`` observes.  The cell stays a pure function
+    of ``(cell, capture)``.
 
     Governor configs, fault plans and arbiter configs reach a cell
     through its params only (see the module docstring).
     """
     wall0 = time.perf_counter()
+    cap = None
     if capture:
-        from ..obs.capture import capture_cell
+        from ..obs.capture import CellCapture
 
-        with capture_cell(capture) as cap:
-            result = _EXECUTORS[cell.kind](cell.params)
+        cap = CellCapture(capture)
+    result = _EXECUTORS[cell.kind](cell.params, cap)
+    if cap is not None:
         result.metrics = cap.seal()
-    else:
-        result = _EXECUTORS[cell.kind](cell.params)
     result.wall_time_s = time.perf_counter() - wall0
     return result
 

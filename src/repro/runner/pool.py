@@ -50,10 +50,15 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from .cache import ResultCache, cache_key
 from .cells import SUBSTRATE_COUNTERS, CellResult, SweepCell, execute_cell
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..bench.profile import SelfProfile
+    from ..obs.metrics import MetricsRegistry
+    from ..sim.trace import Tracer
 
 __all__ = [
     "SweepStats",
@@ -341,7 +346,9 @@ def run_cells(
     cache: Optional[ResultCache] = None,
     refresh: bool = False,
     stats: Optional[SweepStats] = None,
-    capture: Optional[Any] = None,
+    tracer: Optional["Tracer"] = None,
+    metrics: Optional["MetricsRegistry"] = None,
+    profile: Optional["SelfProfile"] = None,
 ) -> List[CellResult]:
     """Satisfy ``cells`` (memo > disk cache > execution), in input order.
 
@@ -349,16 +356,17 @@ def run_cells(
     skips cache *reads* but still writes fresh results through.  Pass a
     ``stats`` to receive the accounting.
 
-    ``capture`` controls observability collection (a
-    :class:`~repro.obs.capture.CaptureConfig`); ``None`` derives it from
-    the calling process's ambient scopes (``--trace`` tracer, metrics
-    registry, active self-profiles).  When any channel is on, every cell
-    — worker-run, inline, memoised or cache-served — carries a sealed
-    payload, and this function replays the payloads into the live scopes
-    here in the parent, once per unique cell in input order.  Replay
-    order therefore depends only on the input sequence, never on ``jobs``
-    or on which layer satisfied a cell: ``--jobs N`` and a warm-cache
-    rerun observe byte-identical streams.
+    ``tracer`` (an enabled :class:`~repro.sim.trace.Tracer`), ``metrics``
+    (a :class:`~repro.obs.metrics.MetricsRegistry`) and ``profile`` (a
+    :class:`~repro.bench.profile.SelfProfile`) are the observability
+    sinks; the :class:`~repro.obs.capture.CaptureConfig` every cell runs
+    under says which of them are present.  When any is, every cell —
+    worker-run, inline, memoised or cache-served — carries a sealed
+    payload, and this function replays the payloads into the sinks here
+    in the caller, once per unique cell in input order.  Replay order
+    therefore depends only on the input sequence, never on ``jobs`` or
+    on which layer satisfied a cell: ``--jobs N`` and a warm-cache rerun
+    observe byte-identical streams.
     """
     import time
 
@@ -369,10 +377,13 @@ def run_cells(
     stats.cells_total += len(cells)
     wall0 = time.perf_counter()
 
-    if capture is None:
-        from ..obs.capture import CaptureConfig
+    from ..obs.capture import CaptureConfig, replay_payload
 
-        capture = CaptureConfig.from_ambient()
+    capture = CaptureConfig(
+        trace=tracer is not None and tracer.enabled,
+        metrics=metrics is not None,
+        profile=profile is not None,
+    )
 
     results: List[Optional[CellResult]] = [None] * len(cells)
     pending: List[Tuple[int, str, SweepCell]] = []
@@ -409,14 +420,12 @@ def run_cells(
                 cache.put(key, cells[idx], result)
 
     if capture:
-        from ..obs.capture import replay_payload
-
         seen: set = set()
         for idx, key in enumerate(keys):
             if key in seen:
                 continue
             seen.add(key)
-            replay_payload(results[idx].metrics)
+            replay_payload(results[idx].metrics, tracer, metrics, profile)
 
     stats.elapsed_s += time.perf_counter() - wall0
     return results  # type: ignore[return-value]
@@ -439,7 +448,7 @@ def save_sweep_stats(
 ) -> Optional[Path]:
     """Persist one sweep's accounting for ``repro bench-report``.
 
-    ``metrics`` (the ambient ``--metrics`` registry) and ``reports`` (the
+    ``metrics`` (the ``--metrics`` registry) and ``reports`` (the
     sweep's folded governor/fault/arbiter reports, see
     :class:`repro.bench.RunnerScope`) are optional
     :class:`~repro.obs.metrics.MetricsRegistry` snapshots;

@@ -33,8 +33,6 @@ from .trace import (
     RecordingTracer,
     Tracer,
     TraceRecord,
-    default_tracer,
-    use_tracer,
 )
 
 __all__ = [
@@ -62,8 +60,6 @@ __all__ = [
     "Timer",
     "TraceRecord",
     "Tracer",
-    "default_tracer",
-    "use_tracer",
 ]
 
 _LAZY = {"SimSession", "SessionConfigError", "check_session_specs"}

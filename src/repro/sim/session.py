@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional
 
 from .engine import Environment
-from .trace import Tracer, default_tracer
+from .trace import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster.specs import ClusterSpec
@@ -86,11 +86,13 @@ class SimSession:
     """Owns env + cluster + network + power model + accountant + tracer.
 
     Parameters mirror the spec dataclasses; every one is optional and
-    defaults to the paper's testbed.  ``tracer`` defaults to the ambient
-    tracer (see :func:`repro.sim.trace.use_tracer`), which is the null
-    tracer unless a CLI ``--trace`` scope is active.  ``governor``,
-    ``faults`` and ``arbiter`` are the only way those instruments reach
-    a simulation: a session never picks one up from its surroundings.
+    defaults to the paper's testbed.  ``tracer`` defaults to the null
+    tracer; pass a :class:`~repro.sim.trace.JsonlTracer`, a
+    :class:`~repro.obs.metrics.MetricsTracer` or a
+    :class:`~repro.sim.trace.TeeTracer` of several to observe the run.
+    ``tracer``, ``governor``, ``faults`` and ``arbiter`` are the only
+    way those instruments reach a simulation: a session never picks one
+    up from its surroundings.
     """
 
     def __init__(
@@ -121,22 +123,9 @@ class SimSession:
                 raise SessionConfigError(
                     "inconsistent session specs:\n  - " + "\n  - ".join(problems)
                 )
-        self.tracer: Tracer = default_tracer() if tracer is None else tracer
-        # An ambient metrics registry (repro.obs `use_metrics` scope) tees
-        # into the trace bus here — one MetricsTracer per session, since
-        # its derived state (per-core frequency, in-flight flows) tracks
-        # one session's clock.  No scope, no tee, no overhead.
-        from ..obs.metrics import MetricsTracer, ambient_metrics_registry
-
-        registry = ambient_metrics_registry()
-        if registry is not None:
-            from .trace import TeeTracer
-
-            metrics_tracer = MetricsTracer(registry)
-            self.tracer = (
-                TeeTracer([self.tracer, metrics_tracer])
-                if self.tracer.enabled else metrics_tracer
-            )
+        self.tracer: Tracer = NULL_TRACER if tracer is None else tracer
+        #: Ranks queued on this session by every job that launched on it.
+        self.ranks_launched = 0
         self.env: Environment = Environment(tracer=self.tracer)
         self.cluster: "Cluster" = Cluster(self.cluster_spec)
         self.cluster.attach_tracer(self.tracer)

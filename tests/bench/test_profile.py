@@ -1,9 +1,11 @@
-"""SelfProfile scope hygiene: no observer leaks, nesting-safe."""
+"""SelfProfile: aggregates and report, one sample per session."""
 
 import pytest
 
-from repro.bench.profile import ACTIVE_PROFILES, JobSample, SelfProfile
-from repro.mpi.job import JOB_OBSERVERS, MpiJob
+from repro.bench.profile import JobSample, SelfProfile
+from repro.mpi.job import MpiJob
+from repro.obs import CaptureConfig
+from repro.runner import SweepCell, execute_cell
 from repro.sim.session import SimSession
 
 
@@ -14,66 +16,10 @@ def _sample(**over):
     return JobSample(**base)
 
 
-def _run_once():
-    def program(ctx):
-        yield from ctx.barrier()
-
-    MpiJob(8, session=SimSession()).run(program)
-
-
-def test_enter_exit_leaves_no_observer():
-    before = JOB_OBSERVERS[:]
-    with SelfProfile():
-        assert len(JOB_OBSERVERS) == len(before) + 1
-        assert ACTIVE_PROFILES
-    assert JOB_OBSERVERS == before
-    assert not ACTIVE_PROFILES
-
-
-def test_exit_on_exception_still_deregisters():
-    before = JOB_OBSERVERS[:]
-    with pytest.raises(RuntimeError):
-        with SelfProfile():
-            raise RuntimeError("boom")
-    assert JOB_OBSERVERS == before
-    assert not ACTIVE_PROFILES
-
-
-def test_nested_distinct_profiles_each_collect():
-    with SelfProfile() as outer:
-        with SelfProfile() as inner:
-            _run_once()
-        _run_once()
-    # Inner saw one job; outer saw both.  Exiting the inner profile must
-    # remove ITS observer, not the outer's.
-    assert len(inner.samples) == 1
-    assert len(outer.samples) == 2
-    assert not JOB_OBSERVERS or all(
-        o.__self__ not in (inner, outer) for o in JOB_OBSERVERS
-        if hasattr(o, "__self__")
-    )
-
-
-def test_reentrant_same_instance_unwinds_cleanly():
-    # Re-entering one instance builds equal-but-distinct bound methods;
-    # equality-based removal could pop the wrong one and leak the other.
-    prof = SelfProfile()
-    before = len(JOB_OBSERVERS)
-    with prof:
-        with prof:
-            assert len(JOB_OBSERVERS) == before + 2
-            _run_once()
-        assert len(JOB_OBSERVERS) == before + 1
-    assert len(JOB_OBSERVERS) == before
-    assert not ACTIVE_PROFILES
-    # Doubly registered while the job ran: two samples of the same job.
-    assert len(prof.samples) == 2
-
-
 def test_add_sample_feeds_aggregates():
     prof = SelfProfile()
-    prof.add_sample(_sample(wall_time_s=1.0, events_processed=10))
-    prof.add_sample(_sample(wall_time_s=3.0, events_processed=30))
+    prof.samples.append(_sample(wall_time_s=1.0, events_processed=10))
+    prof.samples.append(_sample(wall_time_s=3.0, events_processed=30))
     assert prof.total_wall_s == pytest.approx(4.0)
     assert prof.total_events == 40
     assert "jobs run            : 2" in prof.report()
@@ -81,3 +27,33 @@ def test_add_sample_feeds_aggregates():
 
 def test_report_without_samples():
     assert "no jobs" in SelfProfile().report()
+
+
+def _alltoall(ctx):
+    yield from ctx.alltoall(16 << 10)
+
+
+def test_multijob_cell_counts_its_session_once():
+    # Two co-scheduled jobs share one event loop and one fabric: the
+    # cell's profile must count that work once, not once per job.
+    offsets = (0, 2)
+    cell = SweepCell(
+        experiment="profile-test", kind="multijob",
+        params={"jobs": [{"n_ranks": 16, "node_offset": o, "op": "alltoall",
+                          "nbytes": 16 << 10} for o in offsets]},
+    )
+    samples = execute_cell(cell, CaptureConfig(profile=True)).metrics["profile"]
+
+    session = SimSession(keep_segments=False)
+    jobs = [MpiJob(16, session=session, node_offset=o) for o in offsets]
+    for job in jobs:
+        job.launch(_alltoall)
+    session.run_jobs(jobs)
+
+    assert sum(s["events_processed"] for s in samples) == \
+        session.env.events_processed
+    assert sum(s["rerate_calls"] for s in samples) == \
+        session.net.fabric.rerate_calls
+    assert sum(s["flows_rerated"] for s in samples) == \
+        session.net.fabric.flows_rerated
+    assert sum(s["n_ranks"] for s in samples) == 32

@@ -1,20 +1,26 @@
-"""Per-cell capture/replay: hermeticity, serializability, fidelity."""
+"""Per-cell capture/replay: serializability, fidelity."""
 
 import json
 
-from repro.bench.profile import ACTIVE_PROFILES, SelfProfile
-from repro.mpi.job import JOB_OBSERVERS, MpiJob
-from repro.obs.capture import CaptureConfig, CellMetrics, capture_cell, replay_payload
-from repro.obs.metrics import MetricsRegistry, use_metrics
+from repro.bench.profile import SelfProfile
+from repro.mpi.job import MpiJob
+from repro.obs.capture import CaptureConfig, CellCapture, CellMetrics, replay_payload
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.session import SimSession
-from repro.sim.trace import RecordingTracer, default_tracer, use_tracer
+from repro.sim.trace import NULL_TRACER, RecordingTracer
 
 
-def _run_once():
+def _run_once(session):
     def program(ctx):
         yield from ctx.alltoall(16 << 10)
 
-    MpiJob(8, session=SimSession()).run(program)
+    MpiJob(8, session=session).run(program)
+
+
+def _capture_once(config):
+    cap = CellCapture(config)
+    _run_once(cap.session())
+    return cap.seal()
 
 
 class TestCaptureConfig:
@@ -28,26 +34,10 @@ class TestCaptureConfig:
         cfg = CaptureConfig(trace=True, profile=True)
         assert CaptureConfig.from_dict(cfg.to_dict()) == cfg
 
-    def test_from_ambient_defaults_off(self):
-        assert not CaptureConfig.from_ambient()
-
-    def test_from_ambient_sees_scopes(self):
-        with use_tracer(RecordingTracer()):
-            assert CaptureConfig.from_ambient().trace
-        reg = MetricsRegistry()
-        with use_metrics(reg):
-            assert CaptureConfig.from_ambient().metrics
-        with SelfProfile():
-            assert CaptureConfig.from_ambient().profile
-        assert not CaptureConfig.from_ambient()
-
 
 class TestCaptureCell:
     def test_captures_records_and_metrics(self):
-        cfg = CaptureConfig(trace=True, metrics=True)
-        with capture_cell(cfg) as cap:
-            _run_once()
-        payload = cap.seal()
+        payload = _capture_once(CaptureConfig(trace=True, metrics=True))
         assert payload["records"], "trace records must be captured"
         assert all({"t", "type"} <= set(r) for r in payload["records"])
         assert payload["metrics"]["counters"]["net.flows_started"] > 0
@@ -55,37 +45,12 @@ class TestCaptureCell:
         json.dumps(payload)  # plain data end to end
 
     def test_captures_profile_samples(self):
-        with capture_cell(CaptureConfig(profile=True)) as cap:
-            _run_once()
-        payload = cap.seal()
+        payload = _capture_once(CaptureConfig(profile=True))
         assert payload["records"] is None
         samples = payload["profile"]
         assert len(samples) == 1
         assert samples[0]["n_ranks"] == 8
         assert samples[0]["events_processed"] > 0
-
-    def test_shadows_ambient_scopes(self):
-        # An outer tracer/profile must see NOTHING from inside the
-        # capture (the payload is replayed instead — otherwise inline
-        # runs double-collect).
-        outer_tracer = RecordingTracer()
-        outer_profile = SelfProfile()
-        with use_tracer(outer_tracer), outer_profile:
-            with capture_cell(CaptureConfig(trace=True, profile=True)) as cap:
-                _run_once()
-        assert len(outer_tracer.records) == 0
-        assert outer_profile.samples == []
-        assert cap.seal()["records"]
-
-    def test_restores_ambient_state(self):
-        tracer = RecordingTracer()
-        with use_tracer(tracer), SelfProfile():
-            observers_before = JOB_OBSERVERS[:]
-            with capture_cell(CaptureConfig(trace=True)):
-                assert default_tracer() is not tracer
-                assert JOB_OBSERVERS == []
-            assert default_tracer() is tracer
-            assert JOB_OBSERVERS == observers_before
 
     def test_cell_metrics_round_trip(self):
         cm = CellMetrics(records=[{"t": 0.0, "type": "mark", "name": "x"}],
@@ -106,22 +71,21 @@ class TestReplay:
             {"t": 1.0, "type": "flow.start", "flow": "f", "bytes": 2,
              "links": [], "seq": 0},
         ]}
-        with use_tracer(tracer):
-            replay_payload(payload)
+        replay_payload(payload, tracer=tracer)
         assert len(tracer.records) == 2
         assert tracer.records[0].t == 0.5
         assert tracer.records[0].data == {"name": "x", "extra": 1}
         assert tracer.records[1].type == "flow.start"
 
     def test_replay_skips_disabled_tracer(self):
-        replay_payload({"records": [{"t": 0.0, "type": "mark", "name": "x"}]})
+        replay_payload({"records": [{"t": 0.0, "type": "mark", "name": "x"}]},
+                       tracer=NULL_TRACER)
 
     def test_replay_metrics_into_ambient_registry(self):
         reg = MetricsRegistry()
         payload = {"metrics": {"counters": {"c": 2.0}, "gauges": {"g": 1.0},
                                "series": {}}}
-        with use_metrics(reg):
-            replay_payload(payload)
+        replay_payload(payload, metrics=reg)
         assert reg.snapshot()["counters"]["c"] == 2.0
 
     def test_replay_profile_into_active_profiles(self):
@@ -129,24 +93,19 @@ class TestReplay:
             "n_ranks": 4, "sim_time_s": 1.0, "wall_time_s": 0.5,
             "events_processed": 10, "rerate_calls": 1, "flows_rerated": 2,
         }]}
-        with SelfProfile() as prof:
-            replay_payload(payload)
+        prof = SelfProfile()
+        replay_payload(payload, profile=prof)
         assert len(prof.samples) == 1
         assert prof.samples[0].n_ranks == 4
-        assert not ACTIVE_PROFILES
 
     def test_capture_then_replay_equals_direct_observation(self):
         # The whole point: capture+replay reproduces what a direct run
-        # under the scope would have recorded.
+        # into the tracer would have recorded.
         direct = RecordingTracer()
-        with use_tracer(direct):
-            _run_once()
+        _run_once(SimSession(tracer=direct))
 
-        with capture_cell(CaptureConfig(trace=True)) as cap:
-            _run_once()
         replayed = RecordingTracer()
-        with use_tracer(replayed):
-            replay_payload(cap.seal())
+        replay_payload(_capture_once(CaptureConfig(trace=True)), replayed)
 
         assert len(direct.records) == len(replayed.records)
         assert [(r.t, r.type, r.data) for r in direct.records] == \

@@ -150,3 +150,17 @@ def test_multijob_cell_without_arbiter_runs_uncapped():
     result = execute_cell(_multijob_cell())
     assert result.arbiter is None
     assert result.duration_s > 0
+
+
+def test_app_cell_applies_its_arbiter():
+    # 1 kW over the app's 4 nodes binds (the uncapped run averages
+    # ~1.1 kW), so the arbiter must lower node frequencies.
+    params = {"app": "nas-ft", "ranks": 32, "mode": "none"}
+    capped = execute_cell(SweepCell("test", "app", {
+        **params, "arbiter": {"policy": "uniform", "power_cap_w": 1000.0},
+    }))
+    assert capped.arbiter is not None
+    assert capped.arbiter["freq_changes"] > 0
+    assert capped.energy_j != execute_cell(
+        SweepCell("test", "app", params)
+    ).energy_j

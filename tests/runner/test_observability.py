@@ -1,10 +1,11 @@
 """Observability through the runner: --jobs N == --jobs 1, cache round-trip.
 
-The regression this file pins down: ambient --trace/--profile/--metrics
-scopes used to be silently lost under ``--jobs N`` (module globals do
-not propagate into pool workers).  The runner now captures each cell's
-payload where it runs and replays payloads in submit order, so the
-observed stream is a function of the input cell sequence alone.
+The regression this file pins down: --trace/--profile/--metrics output
+used to be silently lost under ``--jobs N`` (the sinks live in the
+calling process, not in pool workers).  The runner captures each cell's
+payload where it runs and replays payloads into the sinks in input
+order, so the observed stream is a function of the input cell sequence
+alone.
 """
 
 import json
@@ -12,9 +13,9 @@ import json
 import pytest
 
 from repro.bench.profile import SelfProfile
-from repro.obs import CaptureConfig, MetricsRegistry, use_metrics
+from repro.obs import CaptureConfig, MetricsRegistry
 from repro.runner import ResultCache, SweepCell, cache_key, clear_memo, execute_cell, run_cells
-from repro.sim.trace import RecordingTracer, use_tracer
+from repro.sim.trace import RecordingTracer
 
 
 @pytest.fixture(autouse=True)
@@ -38,8 +39,9 @@ def _cells():
 def _observe(jobs, cache=None):
     tracer = RecordingTracer()
     registry = MetricsRegistry()
-    with use_tracer(tracer), use_metrics(registry), SelfProfile() as prof:
-        run_cells(_cells(), jobs=jobs, cache=cache)
+    prof = SelfProfile()
+    run_cells(_cells(), jobs=jobs, cache=cache, tracer=tracer,
+              metrics=registry, profile=prof)
     records = [(r.t, r.type, json.dumps(r.data, sort_keys=True))
                for r in tracer.records]
     snapshot = json.dumps(registry.snapshot(), sort_keys=True)
@@ -107,8 +109,7 @@ def test_runner_without_scopes_captures_nothing():
 def test_simulated_outputs_unchanged_by_capture():
     plain = run_cells(_cells(), jobs=1)
     clear_memo()
-    with use_tracer(RecordingTracer()):
-        observed = run_cells(_cells(), jobs=1)
+    observed = run_cells(_cells(), jobs=1, tracer=RecordingTracer())
     for p, o in zip(plain, observed):
         assert p.duration_s == o.duration_s
         assert p.energy_j == o.energy_j

@@ -102,7 +102,7 @@ def _governed_faulted_cells():
 
 def test_instrumented_cells_jobs4_and_warm_cache_identical(tmp_path,
                                                            monkeypatch):
-    from repro.obs.metrics import MetricsRegistry, use_metrics
+    from repro.obs.metrics import MetricsRegistry
     from repro.runner import pool
 
     monkeypatch.setattr(pool, "_available_cpus", lambda: 4)
@@ -112,8 +112,7 @@ def test_instrumented_cells_jobs4_and_warm_cache_identical(tmp_path,
     def sweep(jobs):
         clear_memo()
         registry = MetricsRegistry()
-        with use_metrics(registry):
-            results = run_cells(cells, jobs=jobs, cache=cache)
+        results = run_cells(cells, jobs=jobs, cache=cache, metrics=registry)
         return (
             _dicts(results),
             json.dumps(registry.snapshot(), sort_keys=True),
@@ -123,8 +122,8 @@ def test_instrumented_cells_jobs4_and_warm_cache_identical(tmp_path,
     stats = SweepStats()
     clear_memo()
     registry = MetricsRegistry()
-    with use_metrics(registry):
-        parallel = run_cells(cells, jobs=4, cache=cache, stats=stats)
+    parallel = run_cells(cells, jobs=4, cache=cache, stats=stats,
+                         metrics=registry)
     parallel_metrics = json.dumps(registry.snapshot(), sort_keys=True)
     warm, warm_metrics = sweep(1)
 

@@ -7,7 +7,6 @@ import pytest
 from repro.cluster import ClusterSpec
 from repro.network import NetworkSpec
 from repro.sim import (
-    NullTracer,
     RecordingTracer,
     SessionConfigError,
     SimSession,
@@ -30,16 +29,6 @@ def test_session_tracer_reaches_every_layer():
     session = SimSession(tracer=tracer)
     assert session.env.tracer is tracer
     assert all(core.tracer is tracer for core in session.cluster.cores)
-
-
-def test_session_defaults_to_ambient_tracer():
-    from repro.sim.trace import use_tracer
-
-    assert isinstance(SimSession().tracer, NullTracer)
-    tracer = RecordingTracer()
-    with use_tracer(tracer):
-        assert SimSession().tracer is tracer
-    assert isinstance(SimSession().tracer, NullTracer)
 
 
 def test_session_context_manager_closes_tracer():
