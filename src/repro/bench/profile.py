@@ -12,8 +12,8 @@ timings it reports.  :class:`SelfProfile` aggregates one
 
 The sample unit is the session, not the job: co-scheduled jobs share one
 event loop and one fabric, so a session's work is counted once however
-many jobs it ran (the report's "jobs run" counts these samples; every
-cell kind but ``multijob`` runs one job per session).  The sweep runner
+many jobs it ran (the report's "sessions run" counts these samples;
+every cell kind but ``multijob`` runs one job per session).  The sweep runner
 builds the samples from the sessions each cell built and appends them
 to the ``profile`` it was given (:func:`repro.runner.run_cells`)::
 
@@ -81,13 +81,13 @@ class SelfProfile:
     def report(self) -> str:
         """Human-readable summary block."""
         if not self.samples:
-            return "self-profile: no jobs ran"
+            return "self-profile: no sessions ran"
         wall = self.total_wall_s
         events = self.total_events
         rate = events / wall if wall > 0 else 0.0
         lines = [
             "self-profile:",
-            f"  jobs run            : {len(self.samples)}",
+            f"  sessions run        : {len(self.samples)}",
             f"  simulator wall time : {wall:.3f} s",
             f"  kernel events       : {events:,} ({rate:,.0f} events/s)",
             f"  rerate calls        : {sum(s.rerate_calls for s in self.samples):,}",
@@ -95,7 +95,7 @@ class SelfProfile:
         ]
         slowest = max(self.samples, key=lambda s: s.wall_time_s)
         lines.append(
-            f"  slowest job         : {slowest.n_ranks} ranks, "
+            f"  slowest session     : {slowest.n_ranks} ranks, "
             f"{slowest.wall_time_s:.3f} s wall for {slowest.sim_time_s:.4f} s "
             "simulated"
         )

@@ -54,6 +54,7 @@ class Core:
         "speed_factor",
         "_listeners",
         "tracer",
+        "_node",
     )
 
     def __init__(
@@ -82,6 +83,10 @@ class Core:
         self.speed_factor = (self.frequency_ghz / spec.fmax) * tstate_duty(self.tstate)
         self._listeners: List[StateListener] = []
         self.tracer: Tracer = NULL_TRACER
+        #: The owning :class:`~repro.cluster.topology.Node` (set when the
+        #: node is built), whose cached mean DVFS ratio a frequency change
+        #: invalidates.
+        self._node = None
 
     # -- observation -------------------------------------------------------
     def add_listener(self, listener: StateListener) -> None:
@@ -119,6 +124,8 @@ class Core:
             )
         self.frequency_ghz = snapped
         self.speed_factor = (snapped / self.spec.fmax) * tstate_duty(self.tstate)
+        if self._node is not None:
+            self._node._dvfs_ratio = None
 
     def set_tstate(self, level: int, now: float) -> None:
         """Apply a throttle change (T0..T7)."""

@@ -7,7 +7,7 @@ i.e. ``os_id = local_socket + n_sockets * index_within_socket``.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from .cpu import Core, Socket, ThrottleDomain
 from .specs import ClusterSpec
@@ -16,13 +16,18 @@ from .specs import ClusterSpec
 class Node:
     """One compute node: sockets of cores plus one InfiniBand HCA."""
 
-    __slots__ = ("node_id", "sockets", "cores", "_by_os_id")
+    __slots__ = ("node_id", "sockets", "cores", "_by_os_id", "_dvfs_ratio")
 
     def __init__(self, node_id: int, sockets: List[Socket]):
         self.node_id = node_id
         self.sockets = sockets
         self.cores: List[Core] = [c for s in sockets for c in s.cores]
         self._by_os_id: Dict[int, Core] = {c.os_id: c for c in self.cores}
+        #: Cached :attr:`mean_dvfs_ratio`; ``Core.set_frequency`` (the only
+        #: writer of ``frequency_ghz``) resets it to ``None``.
+        self._dvfs_ratio: Optional[float] = None
+        for core in self.cores:
+            core._node = self
 
     def core_by_os_id(self, os_id: int) -> Core:
         """Look up a core by its OS number within this node."""
@@ -37,9 +42,19 @@ class Node:
     @property
     def mean_dvfs_ratio(self) -> float:
         """Average f/fmax over the node's cores; drives the uncore/IO
-        bandwidth degradation of the NIC links (see network.fabric)."""
-        spec = self.cores[0].spec
-        return sum(c.frequency_ghz for c in self.cores) / (len(self.cores) * spec.fmax)
+        bandwidth degradation of the NIC links (see network.fabric).
+
+        Every NIC capacity read lands here, while only P-state changes
+        move it, so the value is cached until a core's frequency changes.
+        """
+        ratio = self._dvfs_ratio
+        if ratio is None:
+            spec = self.cores[0].spec
+            ratio = sum(c.frequency_ghz for c in self.cores) / (
+                len(self.cores) * spec.fmax
+            )
+            self._dvfs_ratio = ratio
+        return ratio
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Node {self.node_id} sockets={len(self.sockets)}>"

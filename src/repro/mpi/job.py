@@ -15,7 +15,6 @@ machinery (affinity, message engine, communicators, rank contexts).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -45,15 +44,6 @@ class JobStats:
     #: Accumulated wall time per instrumented collective phase, e.g.
     #: "bcast.network" (used for Fig 2b/2c reproduction).
     phase_times: Dict[str, float] = field(default_factory=dict)
-    #: Self-profile of the run itself: host wall-clock seconds spent inside
-    #: ``MpiJob.run`` and the kernel events it took (simulator *speed*, as
-    #: opposed to the simulated time/energy above).
-    wall_time_s: float = 0.0
-    events_processed: int = 0
-    #: Fabric re-rating effort: water-filling invocations and the total
-    #: flows they covered (small per call under incremental re-rating).
-    rerate_calls: int = 0
-    flows_rerated: int = 0
 
     def add_phase(self, name: str, dt: float) -> None:
         self.phase_times[name] = self.phase_times.get(name, 0.0) + dt
@@ -227,8 +217,6 @@ class MpiJob:
             raise RuntimeError("an MpiJob can only run once; build a new one")
         self._ran = True
         self.session.ranks_launched += self.n_ranks
-        self._wall_start = time.perf_counter()
-        self._events_before = self.env.events_processed
         self._finish_times = [0.0] * self.n_ranks
         self._returns: List[Any] = [None] * self.n_ranks
         arbiter = self.arbiter
@@ -270,12 +258,6 @@ class MpiJob:
                 "job finished with unmatched messages (deadlock or missing recv)"
             )
         end = max(self._finish_times) if self._finish_times else self.env.now
-        self.stats.wall_time_s = time.perf_counter() - self._wall_start
-        self.stats.events_processed = (
-            self.env.events_processed - self._events_before
-        )
-        self.stats.rerate_calls = self.net.fabric.rerate_calls
-        self.stats.flows_rerated = self.net.fabric.flows_rerated
         return JobResult(
             duration_s=end,
             rank_finish_times=self._finish_times,

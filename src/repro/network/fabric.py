@@ -188,6 +188,11 @@ def maxmin_rates(
     ``flows``, and each link's residual is reduced once per round by the
     summed demand of that round's frozen flows — bit-for-bit what the
     vector kernel's ``np.add.at`` accumulation computes.
+
+    This is :class:`ScalarFabric`'s filler and the exact oracle for the
+    vector kernel's two fillers (``repro.network.kernel.waterfill`` and
+    the id-based small-component ``waterfill_ids``), which production
+    runs use instead.
     """
     rates: Dict[Flow, float] = {}
     if not flows:
@@ -369,12 +374,19 @@ class FabricBase:
     def _stalled_links(self) -> List[Link]:
         return [lk for flow in self._stalled for lk in flow.links]
 
-    def _component(self, seed_links: Iterable[Link]) -> List[object]:
+    def _component(
+        self, seed_links: Iterable[Link], seen_links: Optional[set] = None
+    ) -> List[object]:
         """All active flows transitively sharing links with ``seed_links``,
         in admission (``seq``) order — the canonical fold order both
-        kernels settle and water-fill in."""
+        kernels settle and water-fill in.
+
+        ``seen_links`` is the visited-link set to extend (a fresh one by
+        default); links already in it are not crossed.
+        """
         component: Dict[object, None] = {}
-        seen_links = set()
+        if seen_links is None:
+            seen_links = set()
         stack: List[Link] = []
         for link in seed_links:
             if link not in seen_links:

@@ -27,6 +27,13 @@ hot operation into whole-array expressions:
   vector; the single timer is armed from its ``min()`` and due flows are
   selected with one comparison, replacing the scalar kernel's
   heap-push-per-flow-per-re-rate.
+* **Small-component fast path** — re-rates and due waves of at most
+  ``VectorFabric.SMALL_BATCH`` flows (nearly every one under a governor
+  or faults, which break lock-step waves into a few flows per node
+  pair) skip numpy dispatch: :func:`waterfill_ids` water-fills over the
+  flows' cached link ids, and settling, completion credit and
+  re-prediction run as plain loops through the table's ``memoryview``
+  twins.  The same canonical folds make both paths bit-identical.
 
 Equivalence with the scalar oracle is exact, not approximate: both
 kernels fold floating-point sums in one canonical order (components in
@@ -53,7 +60,7 @@ from .fabric import (
     _TIGHT_REL,
     FabricBase,
     Link,
-    maxmin_rates,
+    _tight_limit,
 )
 from .params import NetworkSpec
 
@@ -132,6 +139,11 @@ class FlowTable:
     Slots are recycled through a free list; a freed slot keeps
     ``finish = inf`` and ``rate = remaining = 0`` so whole-array scans
     (due-completion selection, timer arming) never see garbage.
+
+    Each column has a ``memoryview`` twin (``remaining_v`` …) over the
+    same buffer for the small paths' per-slot reads and writes: it
+    trades Python floats and ints in and out at a third of the cost of
+    numpy element access, with the same float64 values.
     """
 
     __slots__ = (
@@ -142,6 +154,12 @@ class FlowTable:
         "updated",
         "finish",
         "seq",
+        "remaining_v",
+        "rate_v",
+        "cap_v",
+        "updated_v",
+        "finish_v",
+        "seq_v",
         "_free",
     )
 
@@ -154,17 +172,20 @@ class FlowTable:
         self.finish = np.full(capacity, np.inf)
         self.seq = np.zeros(capacity, dtype=np.int64)
         self._free: List[int] = list(range(capacity - 1, -1, -1))
+        self._bind_views()
+
+    def _bind_views(self) -> None:
+        self.remaining_v = memoryview(self.remaining)
+        self.rate_v = memoryview(self.rate)
+        self.cap_v = memoryview(self.cap)
+        self.updated_v = memoryview(self.updated)
+        self.finish_v = memoryview(self.finish)
+        self.seq_v = memoryview(self.seq)
 
     def alloc(self) -> int:
         if not self._free:
             self._grow()
         return self._free.pop()
-
-    def free(self, slot: int) -> None:
-        self.remaining[slot] = 0.0
-        self.rate[slot] = 0.0
-        self.finish[slot] = np.inf
-        self._free.append(slot)
 
     def _grow(self) -> None:
         old = self.capacity
@@ -179,6 +200,7 @@ class FlowTable:
         self.finish = finish
         self._free.extend(range(new - 1, old - 1, -1))
         self.capacity = new
+        self._bind_views()
 
 
 def waterfill(
@@ -260,6 +282,83 @@ def waterfill(
     return rates
 
 
+def waterfill_ids(
+    flows: Sequence,
+    links: Sequence[Link],
+    congestion: float = 0.0,
+    congestion_saturation: int = 7,
+) -> List[float]:
+    """Max-min rates of one small component, in ``flows`` order.
+
+    ``flows`` carry ``link_ids`` (indices into ``links``) and ``cap``.
+    This is :func:`repro.network.fabric.maxmin_rates` fold for fold —
+    the same congestion expression, freezes in ``flows`` (seq) order,
+    each link's frozen demand summed from ``0.0`` then subtracted once
+    with ``max(0.0, ·)``, the same tight-link limit — so the two agree
+    bit for bit, while working on link ids and flow positions instead
+    of dicts of ``Link`` and flow objects.
+    """
+    # Per-link residual capacity and unfrozen-flow count, by link id in
+    # first-encounter order (flow order, then path order).
+    residual: Dict[int, float] = {}
+    live: Dict[int, int] = {}
+    for flow in flows:
+        for li in flow.link_ids:
+            if li in live:
+                live[li] += 1
+            else:
+                live[li] = 1
+                residual[li] = links[li].capacity
+    if congestion > 0.0:
+        for li, load in live.items():
+            residual[li] = residual[li] / (
+                1.0 + congestion * min(load - 1, congestion_saturation)
+            )
+    n = len(flows)
+    rates = [0.0] * n
+    unfrozen = list(range(n))
+    while unfrozen:
+        min_cap = min([flows[k].cap for k in unfrozen])
+        level = math.inf
+        shares: Dict[int, float] = {}
+        for li, count in live.items():
+            if count:
+                share = residual[li] / count
+                shares[li] = share
+                if share < level:
+                    level = share
+        frozen: List[int] = []
+        rest: List[int] = []
+        if min_cap < level:
+            # A flow cap binds first: freeze every flow at that cap.
+            level = min_cap
+            for k in unfrozen:
+                (frozen if flows[k].cap <= level else rest).append(k)
+        else:
+            limit = _tight_limit(level)
+            tight = {li for li, share in shares.items() if share <= limit}
+            for k in unfrozen:
+                for li in flows[k].link_ids:
+                    if li in tight:
+                        frozen.append(k)
+                        break
+                else:
+                    rest.append(k)
+        unfrozen = rest
+        delta: Dict[int, float] = {}
+        for k in frozen:
+            flow = flows[k]
+            rate = min(level, flow.cap)
+            rates[k] = rate
+            for li in flow.link_ids:
+                delta[li] = delta.get(li, 0.0) + rate
+                live[li] -= 1
+        if unfrozen:
+            for li, d in delta.items():
+                residual[li] = max(0.0, residual[li] - d)
+    return rates
+
+
 def maxmin_rates_vectorized(
     flows: Sequence,
     capacities: Dict[Link, float],
@@ -311,13 +410,14 @@ class VectorFabric(FabricBase):
     metrics are comparable only within one kernel.
     """
 
-    #: At or below this many flows per re-rate, the canonical scalar
-    #: water-filler on flow objects beats numpy dispatch overhead.  Both
-    #: paths are bit-identical, so this is purely a performance constant
-    #: (small components dominate governed/DVFS-heavy runs; profiled on
-    #: governed alltoall cells in DESIGN.md §13 — 64 sits on the measured
-    #: plateau).  Differential tests set it per instance (0 forces every
-    #: re-rate through the batch water-filler).
+    #: At or below this many flows, a re-rate takes the id-based scalar
+    #: filler (:func:`waterfill_ids`) and a due wave the scalar completion
+    #: loops (:meth:`_complete_small`), which beat numpy dispatch there.
+    #: Both paths are bit-identical, so this is purely a performance
+    #: constant (small components dominate governed/DVFS-heavy runs;
+    #: swept on governed alltoall cells in DESIGN.md §13 — 64 sits on the
+    #: measured plateau).  Differential tests set it per instance (0
+    #: forces every re-rate and completion through the numpy paths).
     SMALL_BATCH = 64
 
     def __init__(self, env: Environment, spec: NetworkSpec):
@@ -327,6 +427,7 @@ class VectorFabric(FabricBase):
         self._link_ids: Dict[Link, int] = {}
         self._link_list: List[Link] = []
         self._link_bytes_arr = np.zeros(64)
+        self._link_bytes_v = memoryview(self._link_bytes_arr)
         self._caps = np.ones(64)
         self._pending: List[VectorFlow] = []
         self._flush_timer = None
@@ -341,6 +442,7 @@ class VectorFabric(FabricBase):
             grown = np.zeros(self._link_bytes_arr.shape[0] * 2)
             grown[:i] = self._link_bytes_arr
             self._link_bytes_arr = grown
+            self._link_bytes_v = memoryview(grown)
             caps = np.ones(self._caps.shape[0] * 2)
             caps[:i] = self._caps
             self._caps = caps
@@ -404,6 +506,10 @@ class VectorFabric(FabricBase):
             now, slot, table,
         )
         slot_flow[slot] = flow
+        table.remaining_v[slot] = flow.nbytes
+        table.cap_v[slot] = cpu_cap
+        table.seq_v[slot] = seq
+        table.updated_v[slot] = now
         self._flows[flow] = None
         link_flows = self.link_flows
         flows_on = self._flows_on
@@ -450,26 +556,12 @@ class VectorFabric(FabricBase):
         if not pending:
             return
         self._pending = []
-        now = self.env.now
-        table = self._table
-        count = len(pending)
-        idx = np.fromiter((f.idx for f in pending), dtype=np.int64, count=count)
-        table.remaining[idx] = np.fromiter(
-            (f.nbytes for f in pending), dtype=np.float64, count=count
-        )
-        table.cap[idx] = np.fromiter(
-            (f.cap for f in pending), dtype=np.float64, count=count
-        )
-        table.seq[idx] = np.fromiter(
-            (f.seq for f in pending), dtype=np.int64, count=count
-        )
-        table.updated[idx] = now
         if self._stalled:
             for flow in pending:
                 if flow.idx >= 0:
                     self._rerate_now(flow.links)
             return
-        if count == len(self._flows):
+        if len(pending) == len(self._flows):
             # Full wave (no pre-existing flows): components are exactly
             # the connectivity classes of the pending flows, found by an
             # integer union-find over link ids — far cheaper than one
@@ -507,19 +599,15 @@ class VectorFabric(FabricBase):
                     group.append(flow)
             self._apply(list(by_root.values()))
             return
-        covered = set()
+        # Every component's BFS shares one visited-link set, so a flow
+        # with a covered link lies inside an already-collected component
+        # (components are link-disjoint).
+        covered: set = set()
         groups: List[List[VectorFlow]] = []
         for flow in pending:
-            # A flow with any link covered lies entirely inside an
-            # already-collected component (components are link-disjoint).
-            if flow.idx < 0 or flow.links[0] in covered:
-                continue
-            component = self._component(flow.links)
-            groups.append(component)
-            for member in component:
-                covered.update(member.links)
-        if groups:
-            self._apply(groups)
+            if flow.links[0] not in covered:
+                groups.append(self._component(flow.links, covered))
+        self._apply(groups)
 
     def _rerate_now(self, seed_links) -> None:
         """One immediate component re-rate (completions / capacity
@@ -552,51 +640,59 @@ class VectorFabric(FabricBase):
         self._arm_timer()
 
     def _apply_small(self, component: List[VectorFlow], now: float) -> None:
-        """Scalar-shaped path for small components: same canonical folds
-        (and the same ``maxmin_rates``), just without numpy dispatch."""
-        table = self._table
-        remaining = table.remaining
-        rate_arr = table.rate
-        updated = table.updated
-        finish = table.finish
-        link_bytes = self._link_bytes_arr
-        capacities: Dict[Link, float] = {}
-        for flow in component:
-            i = flow.idx
-            dt = now - float(updated[i])
-            rate = float(rate_arr[i])
-            if dt > 0.0 and rate > 0.0:
-                moved = rate * dt
-                rem = float(remaining[i])
-                if moved > rem:
-                    moved = rem
-                remaining[i] = rem - moved
-                self.bytes_delivered += moved
-                if moved > 0.0:
-                    for li in flow.link_ids:
-                        link_bytes[li] += moved
-            updated[i] = now
-            for link in flow.links:
-                if link not in capacities:
-                    capacities[link] = link.capacity
-        rates = maxmin_rates(
+        """Scalar path for small components: settle, water-fill
+        (:func:`waterfill_ids`) and predict in plain loops."""
+        rems = self._settle_small(component, now)
+        rates = waterfill_ids(
             component,
-            capacities,
+            self._link_list,
             self.spec.flow_congestion,
             self.spec.flow_congestion_saturation,
         )
+        rate_arr = self._table.rate_v
+        finish = self._table.finish_v
         stalled = self._stalled
-        for flow in component:
-            rate = rates[flow]
+        for k, flow in enumerate(component):
+            rate = rates[k]
             i = flow.idx
             rate_arr[i] = rate
             if rate > 0.0:
                 if stalled:
                     stalled.pop(flow, None)
-                finish[i] = float(updated[i]) + float(remaining[i]) / rate
+                finish[i] = now + rems[k] / rate
             else:
-                finish[i] = np.inf
+                finish[i] = math.inf
                 stalled[flow] = None
+
+    def _settle_small(self, flows: List[VectorFlow], now: float) -> List[float]:
+        """Loop twin of :meth:`_settle_batch`: drain bytes at the
+        pre-change rates in ``flows`` order; returns the remaining bytes."""
+        table = self._table
+        remaining = table.remaining_v
+        rate_arr = table.rate_v
+        updated = table.updated_v
+        link_bytes = self._link_bytes_v
+        delivered = self.bytes_delivered
+        rems: List[float] = []
+        for flow in flows:
+            i = flow.idx
+            rem = remaining[i]
+            dt = now - updated[i]
+            rate = rate_arr[i]
+            if dt > 0.0 and rate > 0.0:
+                moved = rate * dt
+                if moved > rem:
+                    moved = rem
+                rem -= moved
+                remaining[i] = rem
+                if moved > 0.0:
+                    delivered += moved
+                    for li in flow.link_ids:
+                        link_bytes[li] += moved
+            updated[i] = now
+            rems.append(rem)
+        self.bytes_delivered = delivered
+        return rems
 
     def _apply_batch(
         self, groups: List[List[VectorFlow]], total: int, now: float
@@ -695,13 +791,75 @@ class VectorFabric(FabricBase):
     def _on_timer(self, _timer) -> None:
         self._timer = None
         self._flush()  # admissions queued ahead of this timer at the same t
-        table = self._table
         now = self.env.now
-        finish = table.finish
-        due = np.nonzero(finish <= now)[0]
+        due = np.nonzero(self._table.finish <= now)[0]
         if due.size == 0:
+            freed = None
+        elif due.size <= self.SMALL_BATCH:
+            freed = self._complete_small(due.tolist(), now)
+        else:
+            freed = self._complete_batch(due, now)
+        if freed:
+            self._rerate_now(freed)
+        else:
             self._arm_timer()
-            return
+
+    def _complete_small(self, due: List[int], now: float) -> Dict[Link, None]:
+        """Settle and complete a few due flows in plain loops: the folds
+        of :meth:`_settle_batch` plus the batched tail credit, without
+        numpy dispatch.  Returns the links the completions freed."""
+        table = self._table
+        finish = table.finish_v
+        slot_flow = self._slot_flow
+        flows = [slot_flow[s] for s in due]
+        if len(flows) > 1:
+            # The scalar heap's pop order.
+            flows.sort(key=lambda f: (finish[f.idx], f.seq))
+        rems = self._settle_small(flows, now)
+        # Completion credit: the sub-epsilon residual tails, after every
+        # due flow has settled.
+        link_bytes = self._link_bytes_v
+        delivered = self.bytes_delivered
+        done: List[VectorFlow] = []
+        for k, flow in enumerate(flows):
+            rem = rems[k]
+            if rem <= _EPSILON_BYTES:
+                done.append(flow)
+                delivered += rem
+                if rem > 0.0:
+                    for li in flow.link_ids:
+                        link_bytes[li] += rem
+        self.bytes_delivered = delivered
+        remaining = table.remaining_v
+        rate_arr = table.rate_v
+        free = table._free
+        for flow in done:
+            i = flow.idx
+            remaining[i] = 0.0
+            rate_arr[i] = 0.0
+            finish[i] = math.inf
+            free.append(i)
+        freed = self._retire(done, now)
+        if len(done) < len(flows):
+            # Prediction landed a shade early (float slack): re-predict;
+            # a flow re-rated to zero in between parks with the stalled
+            # set instead of being dropped.
+            for k, flow in enumerate(flows):
+                i = flow.idx
+                if i < 0:
+                    continue
+                rate = rate_arr[i]
+                if rate > 0.0:
+                    finish[i] = now + rems[k] / rate
+                else:
+                    finish[i] = math.inf
+                    self._stalled[flow] = None
+        return freed
+
+    def _complete_batch(self, due: np.ndarray, now: float) -> Dict[Link, None]:
+        """Array twin of :meth:`_complete_small` for large due waves."""
+        table = self._table
+        finish = table.finish
         # Process in (finish, seq) order — the scalar heap's pop order.
         due = due[np.lexsort((table.seq[due], finish[due]))]
         flows = [self._slot_flow[s] for s in due.tolist()]
@@ -719,9 +877,6 @@ class VectorFabric(FabricBase):
         rem = table.remaining[due]
         done = rem <= _EPSILON_BYTES
         freed: Dict[Link, None] = {}
-        tracer = self.env.tracer
-        traced = tracer.enabled
-        stalled = self._stalled
         if done.any():
             # Completion credit: the sub-epsilon residual tails.
             for value in rem[done].tolist():
@@ -730,42 +885,17 @@ class VectorFabric(FabricBase):
             np.add.at(
                 self._link_bytes_arr, rep_link[done_rep], rem[rep_flow[done_rep]]
             )
-            # Clear the table rows in one array transaction (per-slot
-            # ``table.free`` would pay three numpy scalar writes each).
+            # Clear the table rows in one array transaction.
             done_slots = due[done]
             table.remaining[done_slots] = 0.0
             table.rate[done_slots] = 0.0
             table.finish[done_slots] = np.inf
             table._free.extend(done_slots.tolist())
-            flows_dict = self._flows
-            flows_on = self._flows_on
-            slot_flow = self._slot_flow
-            for k in np.nonzero(done)[0].tolist():
-                flow = flows[k]
-                slot_flow[flow.idx] = None
-                flow.idx = -1
-                del flows_dict[flow]
-                for link in flow.links:
-                    del flows_on[link][flow]
-                    freed[link] = None
-                if stalled:
-                    stalled.pop(flow, None)
-                if traced:
-                    tracer.flow_finish(
-                        now,
-                        flow.label,
-                        flow.nbytes,
-                        flow.started_at,
-                        [lk.name for lk in flow.links],
-                        seq=flow.seq,
-                        delivered=flow.nbytes,
-                    )
-                flow.event.succeed(now)
+            freed = self._retire(
+                [flows[k] for k in np.nonzero(done)[0].tolist()], now
+            )
         live = ~done
         if live.any():
-            # Prediction landed a shade early (float slack): re-predict;
-            # a flow re-rated to zero in between parks with the stalled
-            # set instead of being dropped.
             remaining = table.remaining
             updated = table.updated
             rate_arr = table.rate
@@ -776,8 +906,37 @@ class VectorFabric(FabricBase):
                     finish[slot] = float(updated[slot]) + float(remaining[slot]) / rate
                 else:
                     finish[slot] = np.inf
-                    stalled[flows[k]] = None
-        if freed:
-            self._rerate_now(freed)
-        else:
-            self._arm_timer()
+                    self._stalled[flows[k]] = None
+        return freed
+
+    def _retire(self, done: List[VectorFlow], now: float) -> Dict[Link, None]:
+        """Unlink completed flows (their table rows are already cleared),
+        trace and fire their events; returns the links they free."""
+        freed: Dict[Link, None] = {}
+        flows_dict = self._flows
+        flows_on = self._flows_on
+        slot_flow = self._slot_flow
+        stalled = self._stalled
+        tracer = self.env.tracer
+        traced = tracer.enabled
+        for flow in done:
+            slot_flow[flow.idx] = None
+            flow.idx = -1
+            del flows_dict[flow]
+            for link in flow.links:
+                del flows_on[link][flow]
+                freed[link] = None
+            if stalled:
+                stalled.pop(flow, None)
+            if traced:
+                tracer.flow_finish(
+                    now,
+                    flow.label,
+                    flow.nbytes,
+                    flow.started_at,
+                    [lk.name for lk in flow.links],
+                    seq=flow.seq,
+                    delivered=flow.nbytes,
+                )
+            flow.event.succeed(now)
+        return freed

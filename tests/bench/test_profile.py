@@ -22,11 +22,11 @@ def test_add_sample_feeds_aggregates():
     prof.samples.append(_sample(wall_time_s=3.0, events_processed=30))
     assert prof.total_wall_s == pytest.approx(4.0)
     assert prof.total_events == 40
-    assert "jobs run            : 2" in prof.report()
+    assert "sessions run        : 2" in prof.report()
 
 
 def test_report_without_samples():
-    assert "no jobs" in SelfProfile().report()
+    assert "no sessions" in SelfProfile().report()
 
 
 def _alltoall(ctx):

@@ -24,8 +24,8 @@ def _alltoall_events(params):
         session=_session_from_params(params, False),
         collectives=_engine(params.get("mode", "none")),
     )
-    result = job.run(lambda ctx: ctx.alltoall(int(params["nbytes"])))
-    return result.stats.events_processed, job.engine.messages_sent
+    job.run(lambda ctx: ctx.alltoall(int(params["nbytes"])))
+    return job.session.env.events_processed, job.engine.messages_sent
 
 
 def test_plain_alltoall_event_count():

@@ -62,7 +62,7 @@ def _run(network_spec, observed):
     result = job.run(_program)
     assert (counter.waits > 0) == observed
     return (result.rank_finish_times, result.returns, result.energy_j,
-            result.stats.events_processed)
+            job.session.env.events_processed)
 
 
 @pytest.mark.parametrize("o_send,o_recv", [

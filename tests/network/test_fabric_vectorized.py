@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 
 from repro.network import NetworkSpec
 from repro.network.fabric import Flow, Link, ScalarFabric, maxmin_rates
-from repro.network.kernel import VectorFabric, maxmin_rates_vectorized
+from repro.network.kernel import (
+    VectorFabric,
+    maxmin_rates_vectorized,
+    waterfill_ids,
+)
 from repro.sim import Environment
 
 
@@ -94,6 +98,98 @@ def test_tiny_capacity_near_ties_freeze_together():
     assert rates[fa] == rates[fb] == 1e-25
     vec = maxmin_rates_vectorized([fa, fb], {a: a.capacity, b: b.capacity})
     assert vec[fa] == rates[fa] and vec[fb] == rates[fb]
+
+
+# ------------------------------------------- id-based small filler (exact)
+class _IdFlow:
+    """What :func:`waterfill_ids` and ``maxmin_rates`` read off a flow."""
+
+    __slots__ = ("links", "link_ids", "cap")
+
+    def __init__(self, links, link_ids, cap):
+        self.links = links
+        self.link_ids = link_ids
+        self.cap = cap
+
+
+@st.composite
+def id_allocation_problems(draw):
+    """Small components of both shapes the fabric produces: link-disjoint
+    paths (often several flows per path) and overlapping paths."""
+    n_links = draw(st.integers(min_value=1, max_value=6))
+    # A few repeated values make equal-share and equal-cap ties common;
+    # 1e-30 and a zero fault factor make ~0-level rounds and the
+    # stalled (rate 0) set.
+    links = []
+    for i in range(n_links):
+        cap = draw(
+            st.one_of(
+                st.sampled_from([1.0, 2.0, 3.0, 1e-30]),
+                st.floats(min_value=0.1, max_value=100.0),
+            )
+        )
+        link = Link(f"l{i}", cap)
+        link.fault_factor = draw(st.sampled_from([1.0, 1.0, 1.0, 0.5, 0.0]))
+        links.append(link)
+    if draw(st.booleans()):
+        # Link-disjoint paths: cut a permutation of the links into runs.
+        order = draw(st.permutations(range(n_links)))
+        cuts = sorted(
+            draw(st.sets(st.integers(min_value=1, max_value=n_links - 1)))
+            if n_links > 1 else set()
+        )
+        bounds = [0] + cuts + [n_links]
+        paths = [tuple(order[a:b]) for a, b in zip(bounds, bounds[1:])]
+    else:
+        paths = [
+            tuple(
+                draw(
+                    st.lists(
+                        st.integers(min_value=0, max_value=n_links - 1),
+                        min_size=1,
+                        max_size=n_links,
+                        unique=True,
+                    )
+                )
+            )
+            for _ in range(draw(st.integers(min_value=1, max_value=4)))
+        ]
+    flows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        ids = draw(st.sampled_from(paths))
+        cap = draw(
+            st.one_of(
+                st.just(math.inf),
+                st.sampled_from([0.5, 1.0, 1.5]),
+                st.floats(min_value=0.01, max_value=50.0),
+            )
+        )
+        flows.append(_IdFlow(tuple(links[i] for i in ids), ids, cap))
+    congestion = draw(st.sampled_from([0.0, 0.05, 0.3]))
+    saturation = draw(st.sampled_from([1, 7]))
+    return flows, links, congestion, saturation
+
+
+@given(id_allocation_problems())
+@settings(max_examples=300)
+def test_waterfill_ids_matches_maxmin_rates_exactly(problem):
+    flows, links, congestion, saturation = problem
+    capacities = {lk: lk.capacity for f in flows for lk in f.links}
+    reference = maxmin_rates(flows, capacities, congestion, saturation)
+    rates = waterfill_ids(flows, links, congestion, saturation)
+    # ``==``, not approximately: both fill in the same fold order.
+    assert rates == [reference[f] for f in flows]
+
+
+def test_waterfill_ids_zero_capacity_link_stalls_only_its_path():
+    a, b = Link("a", 2.0), Link("b", 2.0)
+    b.fault_factor = 0.0
+    flows = [
+        _IdFlow((a,), (0,), math.inf),
+        _IdFlow((b,), (1,), math.inf),
+        _IdFlow((a,), (0,), 0.5),
+    ]
+    assert waterfill_ids(flows, [a, b]) == [1.5, 0.0, 0.5]
 
 
 # --------------------------------------------------- full-fabric differential
@@ -195,6 +291,100 @@ def test_full_fabric_runs_identical_across_kernels(scenario):
         assert set(s_link) == set(v_link)
         for name in s_link:
             assert _close(s_link[name], v_link[name], rel=1e-12), name
+
+
+@st.composite
+def simultaneous_finish_scenarios(draw):
+    """Equal-size flows on shared and link-disjoint paths, admitted
+    together, so whole waves come due in one wake-up."""
+    n_links = draw(st.integers(min_value=2, max_value=4))
+    # Rates like 10/3 B/s leave rounding tails below the completion
+    # epsilon, so the tail credit is exercised too.
+    link_caps = [draw(st.sampled_from([1.0, 3.0, 5.0])) for _ in range(n_links)]
+    paths = [[i] for i in range(n_links)] + [[0, 1]]
+    nbytes = draw(st.sampled_from([7.0, 10.0]))
+    flows = [
+        (draw(st.sampled_from(paths)), nbytes, draw(st.sampled_from([0.0, 0.3])),
+         math.inf)
+        for _ in range(draw(st.integers(min_value=3, max_value=9)))
+    ]
+    congestion = draw(st.sampled_from([0.0, 0.05]))
+    fault = draw(st.one_of(st.none(), st.just((0, 0.5, 0.25))))
+    return link_caps, flows, congestion, fault
+
+
+@given(simultaneous_finish_scenarios())
+@settings(max_examples=40, deadline=None)
+def test_simultaneous_completions_identical_on_both_completion_paths(scenario):
+    """Due waves above ``SMALL_BATCH`` complete through the numpy path,
+    those at or below it through the scalar loops: SMALL_BATCH = 2 puts
+    most waves here on the array path, the default on the scalar one."""
+    s_done, s_bytes, s_link = _run_scenario(False, *scenario)
+    runs = [
+        _run_scenario(True, *scenario, small_batch=small_batch)
+        for small_batch in (VectorFabric.SMALL_BATCH, 2, 0)
+    ]
+    for v_done, v_bytes, v_link in runs:
+        # Same completion times, and the same completion-event order.
+        assert list(v_done.items()) == list(s_done.items())
+        assert _close(s_bytes, v_bytes, rel=1e-12)
+        for name in s_link:
+            assert _close(s_link[name], v_link[name], rel=1e-12), name
+    # The scalar and numpy completion paths fold the byte counters in
+    # one order, so the vector runs agree with each other exactly.
+    assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("small_batch", [VectorFabric.SMALL_BATCH, 2, 0])
+def test_simultaneous_completion_wave_takes_the_expected_path(
+    small_batch, monkeypatch
+):
+    """Six equal flows on one path finish in a single wake-up; the wave
+    size against SMALL_BATCH picks the completion path, and both give
+    the scalar kernel's completion times."""
+    scenario = ([3.0], [([0], 6.0, 0.0, math.inf)] * 6, 0.0, None)
+    calls = {"small": 0, "batch": 0}
+    small, batch = VectorFabric._complete_small, VectorFabric._complete_batch
+
+    def spy_small(self, due, now):
+        calls["small"] += 1
+        return small(self, due, now)
+
+    def spy_batch(self, due, now):
+        calls["batch"] += 1
+        return batch(self, due, now)
+
+    monkeypatch.setattr(VectorFabric, "_complete_small", spy_small)
+    monkeypatch.setattr(VectorFabric, "_complete_batch", spy_batch)
+    v_done, _, _ = _run_scenario(True, *scenario, small_batch=small_batch)
+    s_done, _, _ = _run_scenario(False, *scenario)
+    assert v_done == s_done
+    assert set(v_done.values()) == {12.0}  # 36 B at 3 B/s, one instant
+    if small_batch >= 6:
+        assert calls == {"small": 1, "batch": 0}
+    else:
+        assert calls == {"small": 0, "batch": 1}
+
+
+@pytest.mark.parametrize("small_batch", [VectorFabric.SMALL_BATCH, 0])
+def test_completion_credits_visible_sub_epsilon_tails(small_batch):
+    """A due flow completes with up to ``_EPSILON_BYTES`` still
+    unsettled; both completion paths credit that tail to
+    ``bytes_delivered`` and every link of the path.  The tails are
+    written into the table after admission, so they are far above the
+    counters' last ulp (rates here settle exactly 10 B by t = 5)."""
+    env = Environment()
+    fabric = VectorFabric(env, NetworkSpec(flow_congestion=0.0))
+    fabric.SMALL_BATCH = small_batch
+    a, b = fabric.add_link("a", 4.0), fabric.add_link("b", 4.0)
+    events = [fabric.transfer([a], 10.0), fabric.transfer([a, b], 10.0)]
+    f1, f2 = fabric.active_flows  # flushes: 2 B/s each, due at t = 5
+    fabric._table.remaining_v[f1.idx] = 10.25
+    fabric._table.remaining_v[f2.idx] = 10.125
+    env.run()
+    assert [ev.value for ev in events] == [5.0, 5.0]
+    assert fabric.bytes_delivered == 20.375
+    assert fabric.link_bytes == {"a": 20.375, "b": 10.125}
 
 
 # --------------------------------------------------------- zero-rate stall

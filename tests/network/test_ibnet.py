@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import Cluster, ClusterSpec
 from repro.network import IBNetwork, NetworkSpec
 from repro.sim import Environment
+from tests.oracles import FullRecomputeFabric
 
 
 @pytest.fixture
@@ -166,3 +167,94 @@ def test_mem_link_isolated_between_nodes(setup):
     env.run()
     for t in out:
         assert t == pytest.approx(1e-3)
+
+
+# ------------------------------------------------ cached node DVFS ratio
+def _nic_capacity_from_cores(spec, node, progress=1.0):
+    """The NIC capacity recomputed from the node's cores, uncached."""
+    fmax = node.cores[0].spec.fmax
+    ratio = sum(c.frequency_ghz for c in node.cores) / (len(node.cores) * fmax)
+    return spec.nic_bw * spec.nic_dvfs_factor(ratio) * progress
+
+
+def test_nic_capacity_follows_every_frequency_change(setup):
+    env, cluster, net = setup
+    node = cluster.nodes[0]
+    up, dn = net.nic_up(0), net.nic_dn(0)
+    other = net.nic_up(1).capacity
+    assert up.capacity == _nic_capacity_from_cores(net.spec, node)
+    for core, freq in zip(node.cores, (1.6, 2.0, 1.6, 2.4, 1.6)):
+        core.set_frequency(freq, now=0.0)
+        expected = _nic_capacity_from_cores(net.spec, node)
+        assert up.capacity == expected
+        assert dn.capacity == expected
+    assert up.capacity < net.spec.nic_bw
+    assert net.nic_up(1).capacity == other  # only this node's cache moved
+
+
+def test_tstate_change_leaves_nic_capacity_unchanged(setup):
+    env, cluster, net = setup
+    node = cluster.nodes[0]
+    node.cores[1].set_frequency(1.6, now=0.0)
+    before = net.nic_up(0).capacity
+    node.cores[1].set_tstate(5, now=0.0)
+    node.sockets[0].set_tstate(7, now=0.0)
+    assert net.nic_up(0).capacity == before
+    assert before == _nic_capacity_from_cores(net.spec, node)
+
+
+def test_mid_transfer_frequency_change_matches_reference_fabric():
+    """Flows in flight across per-core P-state changes finish exactly
+    when they do on the whole-fabric recompute oracle, whose NIC links
+    recompute the node's frequency mean on every read."""
+
+    def run(reference):
+        env = Environment()
+        cluster = Cluster(ClusterSpec.paper_testbed())
+        spec = NetworkSpec()
+        if reference:
+            fabric = FullRecomputeFabric(env, spec)
+            for node in cluster.nodes:
+                def capacity(node=node):
+                    return _nic_capacity_from_cores(spec, node)
+                fabric.add_link(f"nic_up:{node.node_id}", spec.nic_bw, capacity)
+                fabric.add_link(f"nic_dn:{node.node_id}", spec.nic_bw, capacity)
+
+            def send(src, dst, nbytes):
+                path = [fabric.link(f"nic_up:{src}"), fabric.link(f"nic_dn:{dst}")]
+                return fabric.transfer(path, nbytes, label=f"{src}->{dst}")
+
+            def changed(node_id):
+                fabric.capacities_changed(
+                    [fabric.link(f"nic_up:{node_id}"),
+                     fabric.link(f"nic_dn:{node_id}")]
+                )
+        else:
+            net = IBNetwork(env, cluster, spec)
+
+            def send(src, dst, nbytes):
+                return net.transfer_inter(src, dst, nbytes, label=f"{src}->{dst}")
+
+            changed = net.dvfs_changed
+        done = {}
+
+        def sender(env, src, dst, nbytes):
+            done[(src, dst)] = yield send(src, dst, nbytes)
+
+        def scaler(env):
+            for k, core in enumerate(cluster.nodes[0].cores[:3]):
+                yield env.timeout(4e-4)
+                core.set_frequency(1.6 if k != 1 else 2.0, env.now)
+                changed(0)
+            yield env.timeout(4e-4)
+            cluster.nodes[1].cores[0].set_frequency(1.6, env.now)
+            changed(1)
+
+        env.process(sender(env, 0, 1, 6e6))
+        env.process(sender(env, 2, 1, 3e6))
+        env.process(sender(env, 0, 3, 4e6))
+        env.process(scaler(env))
+        env.run()
+        return done
+
+    assert run(reference=False) == run(reference=True)
